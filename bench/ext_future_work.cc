@@ -120,10 +120,10 @@ int main() {
   db->RunGcOnce();
   db->RunIlmTickOnce();
 
-  DatabaseStats stats = db->GetStats();
   printf("  churn packed %lld rows total; pinned table lost %lld rows "
          "(resident %lld/64), utilization %.0f%%\n",
-         static_cast<long long>(stats.pack.rows_packed),
+         static_cast<long long>(
+             db->metrics_registry()->Sum("pack.rows_packed")),
          static_cast<long long>(
              rates->partition(0).ilm->metrics.rows_packed.Load()),
          static_cast<long long>(

@@ -57,7 +57,7 @@ int main() {
          ToMiB(on_run.samples.back().bytes_packed),
          static_cast<long long>(on_run.samples.back().rows_packed),
          static_cast<long long>(
-             on_run.db->GetStats().pack.pack_transactions),
+             on_run.db->metrics_registry()->Sum("pack.transactions")),
          100.0 * on_run.tpm / ref_tpm);
   printf("paper shape: MiB packed grows with the run; normalized TPM stays "
          "within ~10%% of the reference.\n");

@@ -34,7 +34,8 @@ int main() {
       footprint[t.name] += t.imrs_bytes;
     }
     printf("run %d: tpm=%.0f rows_packed=%lld\n", r + 1, run.tpm,
-           static_cast<long long>(run.db->GetStats().pack.rows_packed));
+           static_cast<long long>(
+               run.db->metrics_registry()->Sum("pack.rows_packed")));
   }
 
   printf("\n%-11s %14s %14s %16s\n", "table", "rows_packed",

@@ -11,10 +11,11 @@ namespace btrim {
 namespace bench {
 
 double RunOutcome::HitRate() const {
-  DatabaseStats stats = db->GetStats();
-  const int64_t total = stats.imrs_operations + stats.page_operations;
+  const obs::MetricsRegistry& m = *db->metrics_registry();
+  const int64_t imrs_ops = m.Sum("engine.imrs_ops");
+  const int64_t total = imrs_ops + m.Sum("engine.page_ops");
   return total == 0 ? 0.0
-                    : static_cast<double>(stats.imrs_operations) /
+                    : static_cast<double>(imrs_ops) /
                           static_cast<double>(total);
 }
 
@@ -106,13 +107,13 @@ RunOutcome RunTpcc(const RunConfig& config) {
     WindowSample sample;
     sample.txns = committed;
     sample.wall_seconds = timer.ElapsedSeconds();
-    DatabaseStats stats = db->GetStats();
-    sample.imrs_bytes = stats.imrs_cache.in_use_bytes;
-    sample.imrs_ops = stats.imrs_operations;
-    sample.page_ops = stats.page_operations;
-    sample.rows_packed = stats.pack.rows_packed;
-    sample.rows_skipped_hot = stats.pack.rows_skipped_hot;
-    sample.bytes_packed = stats.pack.bytes_packed;
+    const obs::MetricsRegistry& m = *db->metrics_registry();
+    sample.imrs_bytes = m.Sum("imrs_cache.in_use_bytes");
+    sample.imrs_ops = m.Sum("engine.imrs_ops");
+    sample.page_ops = m.Sum("engine.page_ops");
+    sample.rows_packed = m.Sum("pack.rows_packed");
+    sample.rows_skipped_hot = m.Sum("pack.rows_skipped_hot");
+    sample.bytes_packed = m.Sum("pack.bytes_packed");
     for (Table* table : db->Tables()) {
       sample.per_table_imrs_bytes.push_back(
           table->partition(0).ilm->metrics.imrs_bytes.Load());

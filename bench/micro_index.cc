@@ -18,15 +18,13 @@
 // Unlike micro_pack, these cells are CPU-bound, not sleep-bound, so the
 // scaling ratios are NOT machine portable: on a 1-core runner 8 threads
 // legitimately run at 1x. Each JSON document therefore records
-// hw_threads, and both the in-binary --smoke gate and
-// tools/check_regression.py scale the enforced floor by it (>= 3x reads
-// at 8 threads needs >= 4 hardware threads; single-core runners gate
-// shape and liveness only).
+// hw_threads, and tools/check_regression.py scales the enforced floor by
+// it (>= 3x reads at 8 threads needs >= 4 hardware threads; single-core
+// runners gate shape and liveness only).
 //
 // Output: one JSON document (stdout and/or --out FILE) with a row per
-// (mode, threads) cell. `--smoke` runs point_read at 1 and 8 threads
-// plus the two TPC-C cells and exits non-zero when a hardware-supported
-// floor is missed, for CI perf gating.
+// (mode, threads) cell. `--smoke` runs only point_read at 1 and 8 threads
+// plus the two TPC-C cells, for CI perf gating by check_regression.py.
 
 #include <algorithm>
 #include <atomic>
@@ -43,6 +41,7 @@
 #include "common/random.h"
 #include "harness/experiment.h"
 #include "index/btree.h"
+#include "obs/metrics_registry.h"
 #include "page/buffer_cache.h"
 #include "page/device.h"
 
@@ -81,8 +80,9 @@ CellResult RunIndexCell(const CellParams& p) {
   BufferCache cache(static_cast<size_t>(p.frames));
   cache.AttachDevice(1, &dev);
   BTree tree(1, &cache, /*unique=*/true);
-  if (!tree.Create().ok()) {
-    fprintf(stderr, "micro_index: tree Create failed\n");
+  obs::MetricsRegistry metrics;
+  if (!tree.Create().ok() || !tree.RegisterMetrics(&metrics, {}).ok()) {
+    fprintf(stderr, "micro_index: tree setup failed\n");
     exit(2);
   }
   for (int64_t i = 0; i < p.keys; ++i) {
@@ -93,7 +93,9 @@ CellResult RunIndexCell(const CellParams& p) {
     }
   }
 
-  const BTreeStats before = tree.GetStats();
+  const int64_t restarts_before = metrics.Sum("index.olc_restarts");
+  const int64_t pessimistic_before = metrics.Sum("index.pessimistic_descents");
+  const int64_t splits_before = metrics.Sum("index.splits");
   std::atomic<bool> go{false};
   std::atomic<int64_t> total_ops{0};
   std::vector<std::thread> threads;
@@ -138,16 +140,16 @@ CellResult RunIndexCell(const CellParams& p) {
   for (std::thread& th : threads) th.join();
   const double wall_s = static_cast<double>(timer.ElapsedMicros()) / 1e6;
 
-  const BTreeStats after = tree.GetStats();
   CellResult r;
   r.mode = p.mode;
   r.threads = p.threads;
   r.ops = total_ops.load();
   r.wall_s = wall_s;
   r.tps = wall_s > 0 ? static_cast<double>(r.ops) / wall_s : 0.0;
-  r.olc_restarts = after.olc_restarts - before.olc_restarts;
-  r.pessimistic = after.pessimistic_descents - before.pessimistic_descents;
-  r.splits = after.splits - before.splits;
+  r.olc_restarts = metrics.Sum("index.olc_restarts") - restarts_before;
+  r.pessimistic =
+      metrics.Sum("index.pessimistic_descents") - pessimistic_before;
+  r.splits = metrics.Sum("index.splits") - splits_before;
   return r;
 }
 
@@ -181,14 +183,6 @@ void AppendCellJson(std::string* out, const CellResult& r) {
            r.mode.c_str(), r.threads, r.ops, r.wall_s, r.tps, r.olc_restarts,
            r.pessimistic, r.splits);
   out->append(buf);
-}
-
-// Hardware-supported floor for the point_read 8t/1t throughput ratio.
-// Mirrored in tools/check_regression.py — keep the two in sync.
-double ReadScalingFloor(unsigned hw) {
-  if (hw >= 4) return 3.0;
-  if (hw >= 2) return 1.4;
-  return 0.0;  // single hardware thread: no parallel speedup to gate
 }
 
 }  // namespace
@@ -302,45 +296,5 @@ int main(int argc, char** argv) {
     fwrite(json.data(), 1, json.size(), stdout);
   }
 
-  if (smoke) {
-    // CI gate: concurrent readers must actually scale where the hardware
-    // can express it, and eight TPC-C terminals must never be slower than
-    // one. check_regression.py re-checks the same floors (plus the full
-    // sweep's shape) against the checked-in baseline.
-    double read1 = 0.0, read8 = 0.0, tpcc1 = 0.0, tpcc8 = 0.0;
-    for (const CellResult& r : results) {
-      if (r.ops <= 0 || r.tps <= 0.0) {
-        fprintf(stderr, "SMOKE FAIL: cell %s/%d did no work\n",
-                r.mode.c_str(), r.threads);
-        return 1;
-      }
-      if (r.mode == "point_read" && r.threads == 1) read1 = r.tps;
-      if (r.mode == "point_read" && r.threads == 8) read8 = r.tps;
-      if (r.mode == "tpcc" && r.threads == 1) tpcc1 = r.tps;
-      if (r.mode == "tpcc" && r.threads == 8) tpcc8 = r.tps;
-    }
-    const double floor = ReadScalingFloor(hw);
-    if (read1 <= 0.0 || (floor > 0.0 && read8 < floor * read1)) {
-      fprintf(stderr,
-              "SMOKE FAIL: point-read %.0f tps at 8 threads vs %.0f at 1 "
-              "(want >= %.1fx on %u hw threads)\n",
-              read8, read1, floor, hw);
-      return 1;
-    }
-    // In-binary TPC-C floor is soft (0.9x) to absorb runner noise; the
-    // strict >= 1x floor lives in check_regression.py where hw is known.
-    if (!no_tpcc && hw >= 4 && tpcc8 < 0.9 * tpcc1) {
-      fprintf(stderr,
-              "SMOKE FAIL: TPC-C %.0f tps at 8 workers vs %.0f at 1\n",
-              tpcc8, tpcc1);
-      return 1;
-    }
-    fprintf(stderr,
-            "SMOKE OK: point-read 8t/1t = %.2fx (floor %.1fx on %u hw "
-            "threads), tpcc 8w/1w = %.2fx\n",
-            read1 > 0 ? read8 / read1 : 0.0, floor, hw,
-            tpcc1 > 0 ? tpcc8 / tpcc1 : 0.0);
-    return 0;
-  }
   return 0;
 }

@@ -6,11 +6,11 @@
 // p50/p99 round-trip latency.
 //
 //   ./build/bench/micro_server [--smoke] [--out FILE]
-//     --smoke           shrink to the CI cells {1, 4} threads and gate:
-//                       every cell did work with zero error replies, zero
-//                       admission sheds at this (low) load, a conservative
-//                       machine-portable throughput floor, and a liveness-
-//                       grade p99 bound. Exit 1 on violation.
+//     --smoke           shrink to the CI cells {1, 4} threads and gate a
+//                       conservative machine-portable throughput floor
+//                       (exit 1 on violation). check_regression.py gates
+//                       the rest of the --out JSON: liveness, zero error
+//                       replies, zero sheds at this (low) load, p99 bound.
 //     --out FILE        write the results JSON (schema below) for
 //                       tools/check_regression.py check_server
 //     --threads-list    comma list overriding the cells (e.g. 1,2,4,8)
@@ -39,9 +39,8 @@ using namespace btrim;
 
 namespace {
 
-// Mirrored in tools/check_regression.py check_server — keep in sync.
+// Smoke-only: tools/check_regression.py has no absolute throughput floor.
 constexpr double kSmokeTpsFloor = 200.0;
-constexpr int64_t kSmokeP99CeilingUs = 2'000'000;
 
 struct Cell {
   int threads = 0;
@@ -275,31 +274,11 @@ int main(int argc, char** argv) {
 
   if (smoke) {
     bool failed = false;
-    auto fail = [&failed](const char* fmt, auto... args) {
-      fprintf(stderr, fmt, args...);
-      failed = true;
-    };
     for (const Cell& c : results) {
-      if (c.ops <= 0 || c.tps <= 0) {
-        fail("SMOKE FAIL: threads=%d did no work\n", c.threads);
-        continue;
-      }
-      if (c.errors > 0) {
-        fail("SMOKE FAIL: threads=%d saw %lld error replies\n", c.threads,
-             static_cast<long long>(c.errors));
-      }
-      if (c.sheds > 0) {
-        fail("SMOKE FAIL: threads=%d shed %lld requests at low load\n",
-             c.threads, static_cast<long long>(c.sheds));
-      }
       if (c.tps < kSmokeTpsFloor) {
-        fail("SMOKE FAIL: threads=%d tps %.0f below floor %.0f\n", c.threads,
-             c.tps, kSmokeTpsFloor);
-      }
-      if (c.p99_us > kSmokeP99CeilingUs) {
-        fail("SMOKE FAIL: threads=%d p99 %lldus above ceiling %lldus\n",
-             c.threads, static_cast<long long>(c.p99_us),
-             static_cast<long long>(kSmokeP99CeilingUs));
+        fprintf(stderr, "SMOKE FAIL: threads=%d tps %.0f below floor %.0f\n",
+                c.threads, c.tps, kSmokeTpsFloor);
+        failed = true;
       }
     }
     if (failed) return 1;

@@ -135,16 +135,17 @@ int main() {
   }
 
   // Where does the data live?
-  DatabaseStats stats = db->GetStats();
+  // Every engine counter lives in one metrics registry, read by name.
+  const obs::MetricsRegistry& metrics = *db->metrics_registry();
   printf("\nengine: %lld txns committed, IMRS rows=%lld, IMRS bytes=%lld\n",
-         static_cast<long long>(stats.txns.committed),
-         static_cast<long long>(stats.rid_map.entries),
-         static_cast<long long>(stats.imrs_cache.in_use_bytes));
+         static_cast<long long>(metrics.Sum("txn.committed")),
+         static_cast<long long>(metrics.Sum("rid_map.entries")),
+         static_cast<long long>(metrics.Sum("imrs_cache.in_use_bytes")));
   printf("ops served by IMRS=%lld, by page store=%lld\n\n",
-         static_cast<long long>(stats.imrs_operations),
-         static_cast<long long>(stats.page_operations));
+         static_cast<long long>(metrics.Sum("engine.imrs_ops")),
+         static_cast<long long>(metrics.Sum("engine.page_ops")));
   printf("--- engine report ---\n%s\n%s",
-         FormatDatabaseStats(stats).c_str(),
+         FormatDatabaseStats(metrics).c_str(),
          FormatTableBreakdown(db.get()).c_str());
   return 0;
 }

@@ -37,7 +37,6 @@ std::unique_ptr<Database> OpenDb() {
   DatabaseOptions options;
   options.in_memory = false;
   options.data_dir = kDir;
-  options.sync_commits = false;  // set true for fsync-per-commit durability
   Result<std::unique_ptr<Database>> opened = Database::Open(options);
   if (!opened.ok()) {
     fprintf(stderr, "open: %s\n", opened.status().ToString().c_str());

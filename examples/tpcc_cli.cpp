@@ -207,16 +207,17 @@ int main(int argc, char** argv) {
     // One time-series sample per window: the figures' x-axis (committed
     // transactions) comes straight from the sampler markers.
     db->metrics_sampler()->SampleNow(committed);
-    DatabaseStats s = db->GetStats();
+    const obs::MetricsRegistry& m = *db->metrics_registry();
+    const int64_t imrs_ops = m.Sum("engine.imrs_ops");
     const double hit =
-        100.0 * static_cast<double>(s.imrs_operations) /
+        100.0 * static_cast<double>(imrs_ops) /
         static_cast<double>(
-            std::max<int64_t>(s.imrs_operations + s.page_operations, 1));
+            std::max<int64_t>(imrs_ops + m.Sum("engine.page_ops"), 1));
     printf("  %8lld txns  %7.1fs  imrs=%6lld KiB  hit=%5.1f%%  "
            "packed=%lld rows\n",
            static_cast<long long>(committed), run_timer.ElapsedSeconds(),
-           static_cast<long long>(s.imrs_cache.in_use_bytes / 1024), hit,
-           static_cast<long long>(s.pack.rows_packed));
+           static_cast<long long>(m.Sum("imrs_cache.in_use_bytes") / 1024),
+           hit, static_cast<long long>(m.Sum("pack.rows_packed")));
   };
   TpccDriver driver(&ctx, dopt);
   Status reg = driver.RegisterMetrics(db->metrics_registry());
@@ -238,18 +239,17 @@ int main(int argc, char** argv) {
          static_cast<long long>(stats.latency_p50_us),
          static_cast<long long>(stats.latency_p95_us),
          static_cast<long long>(stats.latency_p99_us));
-  DatabaseStats dbstats = db->GetStats();
+  const obs::MetricsRegistry& metrics = *db->metrics_registry();
   if (cli.durable && stats.committed > 0) {
-    const int64_t syncs = dbstats.syslogs.syncs + dbstats.sysimrslogs.syncs;
+    const int64_t syncs = metrics.Sum("wal.syncs");  // both logs
     printf("durability: %lld fsyncs for %lld commits (%.3f fsyncs/commit, "
            "%lld elided)\n",
            static_cast<long long>(syncs),
            static_cast<long long>(stats.committed),
            static_cast<double>(syncs) / static_cast<double>(stats.committed),
-           static_cast<long long>(dbstats.syslogs.syncs_elided +
-                                  dbstats.sysimrslogs.syncs_elided));
+           static_cast<long long>(metrics.Sum("wal.syncs_elided")));
   }
-  printf("\n%s\n%s", FormatDatabaseStats(dbstats).c_str(),
+  printf("\n%s\n%s", FormatDatabaseStats(metrics).c_str(),
          FormatTableBreakdown(db.get()).c_str());
 
   if (!cli.metrics_out.empty()) {

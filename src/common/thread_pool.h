@@ -15,8 +15,9 @@
 namespace btrim {
 
 /// Fixed-size worker pool for background fan-out (parallel pack cycles, GC
-/// shard drains). Shared by every background subsystem of one Database so
-/// the operator reasons about exactly one knob (`pack_workers`).
+/// shard drains, recovery replay shards). Shared by every background
+/// subsystem of one Database, so one knob sizes it:
+/// DatabaseOptions::pack_workers.
 ///
 /// Semantics:
 ///  - `workers <= 1` creates no threads at all: RunTasks executes every

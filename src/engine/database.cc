@@ -29,13 +29,9 @@ Status Database::Init() {
   // File id 0 is reserved (null RID); occupy the slot.
   devices_.push_back(nullptr);
 
-  // Effective durability policy: the legacy sync_commits switch maps onto
-  // kSyncPerCommit; in-memory storage is volatile, so syncing is pointless.
+  // Effective durability policy: in-memory storage is volatile, so syncing
+  // is pointless.
   DurabilityOptions durability = options_.durability;
-  if (durability.policy == DurabilityPolicy::kNoSync &&
-      options_.sync_commits) {
-    durability.policy = DurabilityPolicy::kSyncPerCommit;
-  }
   if (options_.in_memory) {
     durability.policy = DurabilityPolicy::kNoSync;
   }
@@ -95,8 +91,7 @@ Status Database::Init() {
   // recovery replay shards all run on it (one knob set, one set of
   // threads). <= 1 workers means a no-thread pool whose RunTasks executes
   // inline on the caller.
-  background_pool_ = std::make_unique<ThreadPool>(
-      std::max(options_.pack_workers, options_.recovery_workers));
+  background_pool_ = std::make_unique<ThreadPool>(options_.pack_workers);
 
   // ILM (needs `this` as PackClient).
   ilm_ = std::make_unique<IlmManager>(options_.ilm, &imrs_allocator_, this);
@@ -392,33 +387,18 @@ void Database::StartBackground() {
   bool expected = false;
   if (!background_running_.compare_exchange_strong(expected, true)) return;
 
-  for (int i = 0; i < options_.pack_threads; ++i) {
-    background_threads_.emplace_back([this] {
-      while (background_running_.load(std::memory_order_relaxed)) {
-        {
-          RwSpinLockReadGuard quiesce(background_rw_);
-          MutexGuard tick(ilm_tick_mu_);
-          ilm_->BackgroundTick(Now());
-        }
-        ParanoidValidate();
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(options_.background_interval_us));
-      }
-    });
-  }
-  for (int i = 0; i < options_.gc_threads; ++i) {
-    background_threads_.emplace_back([this] {
-      while (background_running_.load(std::memory_order_relaxed)) {
-        {
-          RwSpinLockReadGuard quiesce(background_rw_);
-          MutexGuard pass(gc_pass_mu_);
-          gc_->RunOnce(txn_manager_.OldestActiveSnapshot(), Now());
-        }
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(options_.background_interval_us));
-      }
-    });
-  }
+  // One thread each: ticks and passes serialize on ilm_tick_mu_ /
+  // gc_pass_mu_, so more drivers would only queue there. Parallelism comes
+  // from the worker pool they fan out to.
+  auto loop = [this](void (Database::*step)()) {
+    while (background_running_.load(std::memory_order_relaxed)) {
+      (this->*step)();
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(options_.background_interval_us));
+    }
+  };
+  background_threads_.emplace_back(loop, &Database::RunIlmTickOnce);
+  background_threads_.emplace_back(loop, &Database::RunGcOnce);
 }
 
 void Database::StopBackground() {
@@ -709,7 +689,7 @@ PackBatchOutcome Database::PackBatch(PartitionState* partition,
 }
 
 Result<int64_t> Database::CompactImrsLog() {
-  if (txn_manager_.GetStats().active != 0) {
+  if (txn_manager_.ActiveCount() != 0) {
     return Status::Busy("IMRS log compaction requires quiescence");
   }
   // Serialize one committed group that recreates the current IMRS exactly:
@@ -887,45 +867,6 @@ bool Database::PurgePageStoreHome(ImrsRow* row) {
   // the resurrected page-store home (checkpoint.cc).
   StashCheckpointPreImage(row);
   return true;
-}
-
-DatabaseStats Database::GetStats() const {
-  DatabaseStats s;
-  s.txns = txn_manager_.GetStats();
-  s.buffer_cache = buffer_cache_.GetStats();
-  s.imrs_cache = imrs_allocator_.GetStats();
-  s.locks = lock_manager_.GetStats();
-  {
-    RwSpinLockReadGuard guard(catalog_mu_);
-    for (const auto& t : tables_) {
-      auto add = [&s](const BTreeStats& b) {
-        s.index.inserts += b.inserts;
-        s.index.deletes += b.deletes;
-        s.index.searches += b.searches;
-        s.index.scans += b.scans;
-        s.index.splits += b.splits;
-        s.index.height = std::max(s.index.height, b.height);
-        s.index.pages_allocated += b.pages_allocated;
-        s.index.olc_restarts += b.olc_restarts;
-        s.index.pessimistic_descents += b.pessimistic_descents;
-        s.index.pages_retired += b.pages_retired;
-        s.index.pages_reclaimed += b.pages_reclaimed;
-        s.index.pages_reused += b.pages_reused;
-      };
-      add(t->primary_->GetStats());
-      for (const auto& sec : t->secondaries_) add(sec.tree->GetStats());
-    }
-  }
-  s.gc = gc_->GetStats();
-  s.pack = ilm_->pack()->GetStats();
-  s.rid_map = rid_map_.GetStats();
-  s.syslogs = syslogs_->GetStats();
-  s.sysimrslogs = sysimrslogs_->GetStats();
-  s.syslogs_commit = syslogs_committer_->GetStats();
-  s.sysimrslogs_commit = sysimrslogs_committer_->GetStats();
-  s.imrs_operations = imrs_ops_.Load();
-  s.page_operations = page_ops_.Load();
-  return s;
 }
 
 }  // namespace btrim

@@ -48,11 +48,6 @@ struct DatabaseOptions {
   bool in_memory = true;
   std::string data_dir;
 
-  /// fsync both logs on commit (file-backed mode only). Legacy switch kept
-  /// for existing callers: when set and `durability.policy` is kNoSync, the
-  /// effective policy becomes kSyncPerCommit.
-  bool sync_commits = false;
-
   /// Commit durability policy and group-commit tuning (file-backed mode
   /// only; in-memory databases are volatile by construction, so the
   /// effective policy there is always kNoSync).
@@ -61,23 +56,17 @@ struct DatabaseOptions {
   /// Artificial device latency per page I/O (simulated disk; 0 = off).
   uint32_t device_latency_micros = 0;
 
-  /// Background threads.
-  int pack_threads = 1;
-  int gc_threads = 1;
+  /// Sleep between iterations of the two background threads StartBackground
+  /// runs: one ILM tick thread (TSF/tuning/pack) and one GC thread.
   int64_t background_interval_us = 500;
 
   /// Size of the shared background worker pool that pack cycles fan their
-  /// per-partition drains out to and GC passes drain their RID shards on.
-  /// <= 1 keeps the pipeline serial (every cycle runs inline on its driver
-  /// thread — the deterministic baseline).
+  /// per-partition drains out to, GC passes drain their RID shards on, and
+  /// Recover() replays its RID-hash shards on (16 shards, matching GC).
+  /// <= 1 keeps all three serial (every cycle, pass and replay shard runs
+  /// inline on its driver thread, in shard order — the deterministic
+  /// baseline the parallel paths are checked against).
   int pack_workers = 1;
-
-  /// Worker threads for sharded log replay during Recover(). Replay fans
-  /// out across the background pool by RID hash (16 shards, matching GC);
-  /// <= 1 replays every shard inline in shard order — the deterministic
-  /// baseline the parallel paths are checked against. 0 inherits
-  /// pack_workers so one knob sizes the whole background pool.
-  int recovery_workers = 0;
 
   /// Lock wait budget before timeout-abort (deadlock resolution).
   int64_t lock_timeout_ms = 1000;
@@ -171,24 +160,6 @@ struct ValidateReport {
   bool gauges_checked = false;
 };
 
-/// Aggregate engine statistics snapshot (feeds the experiment harness).
-struct DatabaseStats {
-  TransactionManagerStats txns;
-  BufferCacheStats buffer_cache;
-  FragmentAllocatorStats imrs_cache;
-  LockManagerStats locks;
-  BTreeStats index;  ///< Aggregated over every table's B+Trees.
-  GcStats gc;
-  PackStats pack;
-  RidMapStats rid_map;
-  LogStats syslogs;
-  LogStats sysimrslogs;
-  GroupCommitStats syslogs_commit;
-  GroupCommitStats sysimrslogs_commit;
-  int64_t imrs_operations = 0;  ///< ISUD ops served by the IMRS
-  int64_t page_operations = 0;  ///< ISUD ops served by the page store
-};
-
 /// The BTrim hybrid storage engine (paper Sec. II).
 ///
 /// Owns the page-store substrate (devices, buffer cache, heap files,
@@ -267,7 +238,7 @@ class Database : public PackClient {
 
   /// --- background / lifecycle ----------------------------------------------
 
-  /// Starts pack + GC threads. Idempotent.
+  /// Starts the ILM tick thread and the GC thread. Idempotent.
   void StartBackground();
   /// Stops and joins background threads. Idempotent; called by destructor.
   void StopBackground();
@@ -334,10 +305,9 @@ class Database : public PackClient {
 
   /// --- introspection ---------------------------------------------------------
 
-  DatabaseStats GetStats() const;
-
   /// The unified metrics registry every subsystem of this database is
-  /// registered into (DESIGN.md Sec. 10).
+  /// registered into: the engine's one stats surface (DESIGN.md Sec. 10).
+  /// Read a counter with metrics_registry()->Sum("pack.rows_packed").
   obs::MetricsRegistry* metrics_registry() const { return &metrics_registry_; }
 
   /// The registry's time-series sampler (cadence thread only runs when

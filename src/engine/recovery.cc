@@ -110,13 +110,10 @@ class CursorTracker {
 }  // namespace
 
 Status Database::Recover() {
-  // Replay parallelism: 0 inherits pack_workers (one knob sizes the shared
-  // pool); <= 1 runs every shard inline, in shard order.
-  const int effective_workers = options_.recovery_workers == 0
-                                    ? options_.pack_workers
-                                    : options_.recovery_workers;
+  // Replay parallelism follows pack_workers (it sizes the shared pool);
+  // <= 1 runs every shard inline, in shard order.
   auto run_sharded = [&](std::vector<std::function<void()>> tasks) {
-    if (effective_workers <= 1) {
+    if (options_.pack_workers <= 1) {
       for (auto& task : tasks) task();
     } else {
       background_pool_->RunTasks(std::move(tasks));

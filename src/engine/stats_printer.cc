@@ -30,85 +30,103 @@ double Pct(int64_t part, int64_t whole) {
 }
 
 void AppendCommitterLine(std::string* out, const char* label,
-                         const GroupCommitStats& gc) {
-  if (gc.groups_committed == 0) return;  // committer never used
+                         const obs::MetricsRegistry& m,
+                         const obs::MetricLabels& l) {
+  const int64_t groups = m.Sum("commit.groups", l);
+  if (groups == 0) return;  // committer never used
+  const int64_t batches = m.Sum("commit.batches", l);
+  auto per_batch = [batches](int64_t v) {
+    return batches > 0 ? static_cast<double>(v) / static_cast<double>(batches)
+                       : 0.0;
+  };
+  obs::MetricSample latency;
+  m.Lookup("commit.latency_us", l, &latency);
   Appendf(out,
           "%s: %" PRId64 " groups in %" PRId64
           " batches (%.1f/batch, %.1f KiB avg, max %" PRId64
           "), latency p50/p95/p99 %" PRId64 "/%" PRId64 "/%" PRId64 " us\n",
-          label, gc.groups_committed, gc.batches, gc.GroupsPerBatch(),
-          gc.AvgBatchBytes() / 1024.0, gc.max_batch_groups,
-          gc.commit_latency.PercentileUs(0.50),
-          gc.commit_latency.PercentileUs(0.95),
-          gc.commit_latency.PercentileUs(0.99));
+          label, groups, batches, per_batch(groups),
+          per_batch(m.Sum("commit.batch_bytes", l)) / 1024.0,
+          m.Sum("commit.max_batch_groups", l),
+          latency.hist.PercentileUs(0.50), latency.hist.PercentileUs(0.95),
+          latency.hist.PercentileUs(0.99));
 }
 
 }  // namespace
 
-std::string FormatDatabaseStats(const DatabaseStats& s) {
+std::string FormatDatabaseStats(const obs::MetricsRegistry& m) {
+  const obs::MetricLabels sys{"syslogs", "", "", ""};
+  const obs::MetricLabels imrs{"sysimrslogs", "", "", ""};
   std::string out;
   Appendf(&out, "transactions : %" PRId64 " committed, %" PRId64
                 " aborted, %" PRId64 " active\n",
-          s.txns.committed, s.txns.aborted, s.txns.active);
+          m.Sum("txn.committed"), m.Sum("txn.aborted"), m.Sum("txn.active"));
+  const int64_t imrs_ops = m.Sum("engine.imrs_ops");
+  const int64_t page_ops = m.Sum("engine.page_ops");
   Appendf(&out,
           "op routing   : %" PRId64 " IMRS / %" PRId64
           " page-store (hit rate %.1f%%)\n",
-          s.imrs_operations, s.page_operations,
-          Pct(s.imrs_operations, s.imrs_operations + s.page_operations));
+          imrs_ops, page_ops, Pct(imrs_ops, imrs_ops + page_ops));
+  const int64_t in_use = m.Sum("imrs_cache.in_use_bytes");
+  const int64_t capacity = m.Sum("imrs_cache.capacity_bytes");
   Appendf(&out,
           "IMRS cache   : %" PRId64 " / %" PRId64 " KiB in use (%.1f%%), "
           "%" PRId64 " rows mapped\n",
-          s.imrs_cache.in_use_bytes / 1024, s.imrs_cache.capacity_bytes / 1024,
-          Pct(s.imrs_cache.in_use_bytes, s.imrs_cache.capacity_bytes),
-          s.rid_map.entries);
+          in_use / 1024, capacity / 1024, Pct(in_use, capacity),
+          m.Sum("rid_map.entries"));
+  const int64_t fixes = m.Sum("buffer_cache.fixes");
   Appendf(&out,
           "buffer cache : %" PRId64 " fixes, %.1f%% hits, %" PRId64
           " evictions, %" PRId64 " latch waits\n",
-          s.buffer_cache.fixes,
-          Pct(s.buffer_cache.hits, s.buffer_cache.fixes),
-          s.buffer_cache.evictions, s.buffer_cache.latch_contention);
+          fixes, Pct(m.Sum("buffer_cache.hits"), fixes),
+          m.Sum("buffer_cache.evictions"),
+          m.Sum("buffer_cache.latch_contention"));
   Appendf(&out,
           "locks        : %" PRId64 " acquisitions (%" PRId64
           " fast), %" PRId64 " waits, %" PRId64 " timeouts, %" PRId64
           " cond. denials\n",
-          s.locks.acquisitions, s.locks.fast_grants, s.locks.waits,
-          s.locks.timeouts, s.locks.try_failures);
+          m.Sum("locks.acquisitions"), m.Sum("locks.fast_grants"),
+          m.Sum("locks.waits"), m.Sum("locks.timeouts"),
+          m.Sum("locks.try_failures"));
   Appendf(&out,
           "index        : %" PRId64 " searches, %" PRId64
           " inserts, %" PRId64 " splits, %" PRId64 " OLC restarts, %" PRId64
           " pessimistic, %" PRId64 "/%" PRId64 " pages retired/reclaimed\n",
-          s.index.searches, s.index.inserts, s.index.splits,
-          s.index.olc_restarts, s.index.pessimistic_descents,
-          s.index.pages_retired, s.index.pages_reclaimed);
+          m.Sum("index.searches"), m.Sum("index.inserts"),
+          m.Sum("index.splits"), m.Sum("index.olc_restarts"),
+          m.Sum("index.pessimistic_descents"),
+          m.Sum("index.pages_retired"), m.Sum("index.pages_reclaimed"));
   Appendf(&out,
           "GC           : %" PRId64 " versions freed (%" PRId64
           " KiB), %" PRId64 " rows purged, %" PRId64 " pending\n",
-          s.gc.versions_freed, s.gc.bytes_freed / 1024, s.gc.rows_purged,
-          s.gc.work_pending);
+          m.Sum("gc.versions_freed"), m.Sum("gc.bytes_freed") / 1024,
+          m.Sum("gc.rows_purged"), m.Sum("gc.work_pending"));
   Appendf(&out,
           "Pack         : %" PRId64 " cycles, %" PRId64 " rows (%" PRId64
           " KiB) packed, %" PRId64 " skipped hot, %" PRId64
           " pack txns, %" PRId64 " bypasses\n",
-          s.pack.cycles, s.pack.rows_packed, s.pack.bytes_packed / 1024,
-          s.pack.rows_skipped_hot, s.pack.pack_transactions,
-          s.pack.bypass_activations);
+          m.Sum("pack.cycles"), m.Sum("pack.rows_packed"),
+          m.Sum("pack.bytes_packed") / 1024, m.Sum("pack.rows_skipped_hot"),
+          m.Sum("pack.transactions"), m.Sum("pack.bypass_activations"));
   Appendf(&out,
           "syslogs      : %" PRId64 " records, %" PRId64 " KiB, %" PRId64
           " syncs (%" PRId64 " elided), %" PRId64 "/%" PRId64
           " failed appends/syncs\n",
-          s.syslogs.records_appended, s.syslogs.bytes_appended / 1024,
-          s.syslogs.syncs, s.syslogs.syncs_elided, s.syslogs.append_failures,
-          s.syslogs.sync_failures);
+          m.Sum("wal.records_appended", sys),
+          m.Sum("wal.bytes_appended", sys) / 1024, m.Sum("wal.syncs", sys),
+          m.Sum("wal.syncs_elided", sys), m.Sum("wal.append_failures", sys),
+          m.Sum("wal.sync_failures", sys));
   Appendf(&out,
           "sysimrslogs  : %" PRId64 " records in %" PRId64
           " groups, %" PRId64 " KiB, %" PRId64 " syncs (%" PRId64
           " elided), %" PRId64 "/%" PRId64 " failed appends/syncs\n",
-          s.sysimrslogs.records_appended, s.sysimrslogs.groups_appended,
-          s.sysimrslogs.bytes_appended / 1024, s.sysimrslogs.syncs,
-          s.sysimrslogs.syncs_elided, s.sysimrslogs.append_failures,
-          s.sysimrslogs.sync_failures);
-  AppendCommitterLine(&out, "commit(sys)  ", s.syslogs_commit);
-  AppendCommitterLine(&out, "commit(imrs) ", s.sysimrslogs_commit);
+          m.Sum("wal.records_appended", imrs),
+          m.Sum("wal.groups_appended", imrs),
+          m.Sum("wal.bytes_appended", imrs) / 1024, m.Sum("wal.syncs", imrs),
+          m.Sum("wal.syncs_elided", imrs), m.Sum("wal.append_failures", imrs),
+          m.Sum("wal.sync_failures", imrs));
+  AppendCommitterLine(&out, "commit(sys)  ", m, sys);
+  AppendCommitterLine(&out, "commit(imrs) ", m, imrs);
   return out;
 }
 

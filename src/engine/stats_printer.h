@@ -7,10 +7,11 @@
 
 namespace btrim {
 
-/// Human-readable report of the engine-wide statistics snapshot: one block
-/// per subsystem (transactions, IMRS cache, buffer cache, locks, GC, Pack,
-/// logs). Intended for operator tooling, examples, and debugging.
-std::string FormatDatabaseStats(const DatabaseStats& stats);
+/// Human-readable report of the engine-wide counters in `metrics` (normally
+/// Database::metrics_registry()): one block per subsystem (transactions,
+/// IMRS cache, buffer cache, locks, B+Trees summed over every table, GC,
+/// Pack, logs). Intended for operator tooling, examples, and debugging.
+std::string FormatDatabaseStats(const obs::MetricsRegistry& metrics);
 
 /// Per-table / per-partition ILM breakdown: residency, footprint, reuse,
 /// pack activity and tuner state — the BTrim equivalent of a monitoring

@@ -68,7 +68,8 @@ constexpr int64_t kMaxChainLength = 1 << 20;
 Status Database::ValidateLocked(ValidateReport* report, bool tolerant) {
   // Transaction activity snapshot: the gauge phase (C) only runs when it
   // can prove no transaction overlapped phases A/B.
-  const TransactionManagerStats stats_before = txn_manager_.GetStats();
+  const int64_t begun_before = txn_manager_.BegunCount();
+  const int64_t active_before = txn_manager_.ActiveCount();
 
   // --- Phase A: RID-map entries, row identity, version chains, page homes,
   // hash-index agreement; accumulate per-partition footprints. -------------
@@ -338,9 +339,8 @@ Status Database::ValidateLocked(ValidateReport* report, bool tolerant) {
   // started and none began since (then no commit action or abort-undo could
   // have moved a gauge mid-walk).
   bool gauges_comparable = !tolerant;
-  if (tolerant && stats_before.active == 0) {
-    const TransactionManagerStats stats_after = txn_manager_.GetStats();
-    gauges_comparable = stats_after.begun == stats_before.begun;
+  if (tolerant && active_before == 0) {
+    gauges_comparable = txn_manager_.BegunCount() == begun_before;
   }
   if (gauges_comparable) {
     for (PartitionState* p : ilm_->Partitions()) {

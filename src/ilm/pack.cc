@@ -400,19 +400,6 @@ PackCycleResult PackSubsystem::RunPackCycle(
   return result;
 }
 
-PackStats PackSubsystem::GetStats() const {
-  PackStats s;
-  s.cycles = cycles_.Load();
-  s.bytes_packed = bytes_packed_.Load();
-  s.rows_packed = rows_packed_.Load();
-  s.rows_skipped_hot = rows_skipped_.Load();
-  s.pack_transactions = pack_txns_.Load();
-  s.bypass_activations = bypass_activations_.Load();
-  s.io_error_cycles = io_error_cycles_.Load();
-  s.backoff_cycles = backoff_cycles_.Load();
-  return s;
-}
-
 Status PackSubsystem::RegisterMetrics(obs::MetricsRegistry* registry,
                                       const std::string& subsystem) const {
   const obs::MetricLabels l{subsystem, "", "", ""};

@@ -14,13 +14,6 @@
 
 namespace btrim {
 
-/// RID-Map statistics.
-struct RidMapStats {
-  int64_t entries = 0;
-  int64_t lookups = 0;
-  int64_t hits = 0;
-};
-
 /// The RID-Map table (paper Sec. II, the yellow box): resolves a RID to the
 /// in-memory row, if any. Every index access and page-store scan consults it
 /// to decide whether the row's truth is in the IMRS or in the buffer cache.
@@ -78,14 +71,6 @@ class RidMap {
         fn(Rid::Decode(rid), row);
       }
     }
-  }
-
-  RidMapStats GetStats() const {
-    RidMapStats st;
-    st.entries = entries_.Load();
-    st.lookups = lookups_.Load();
-    st.hits = hits_.Load();
-    return st;
   }
 
   /// Registers the RID-map counters into the unified metrics registry under

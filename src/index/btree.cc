@@ -763,23 +763,6 @@ Status BTree::ScanPrefix(
   return Scan(prefix, Slice(upper), limit, out);
 }
 
-BTreeStats BTree::GetStats() const {
-  BTreeStats s;
-  s.inserts = inserts_.Load();
-  s.deletes = deletes_.Load();
-  s.searches = searches_.Load();
-  s.scans = scans_.Load();
-  s.splits = splits_.Load();
-  s.height = height_.load(std::memory_order_relaxed);
-  s.pages_allocated = next_page_.load(std::memory_order_relaxed);
-  s.olc_restarts = olc_restarts_.Load();
-  s.pessimistic_descents = pessimistic_.Load();
-  s.pages_retired = pages_retired_.Load();
-  s.pages_reclaimed = pages_reclaimed_.Load();
-  s.pages_reused = pages_reused_.Load();
-  return s;
-}
-
 Status BTree::RegisterMetrics(obs::MetricsRegistry* registry,
                               const obs::MetricLabels& labels) const {
   BTRIM_RETURN_IF_ERROR(

@@ -23,22 +23,6 @@ class MetricsRegistry;
 struct MetricLabels;
 }  // namespace obs
 
-/// B+Tree traffic counters.
-struct BTreeStats {
-  int64_t inserts = 0;
-  int64_t deletes = 0;
-  int64_t searches = 0;
-  int64_t scans = 0;
-  int64_t splits = 0;
-  int64_t height = 0;
-  int64_t pages_allocated = 0;
-  int64_t olc_restarts = 0;          ///< Version-validation failures.
-  int64_t pessimistic_descents = 0;  ///< Writer fallbacks to latch coupling.
-  int64_t pages_retired = 0;         ///< Leaves unlinked, awaiting epochs.
-  int64_t pages_reclaimed = 0;       ///< Retired pages moved to free list.
-  int64_t pages_reused = 0;          ///< Allocations served from free list.
-};
-
 /// Page-based B+Tree mapping variable-length byte-string keys (memcmp
 /// order) to 64-bit values (encoded RIDs).
 ///
@@ -126,7 +110,12 @@ class BTree {
   bool unique() const { return unique_; }
   uint16_t file_id() const { return file_id_; }
 
-  BTreeStats GetStats() const;
+  /// Current tree height and pages ever allocated from the file (the rest
+  /// of the tree's counters live in the metrics registry as index.*).
+  int64_t height() const { return height_.load(std::memory_order_relaxed); }
+  int64_t pages_allocated() const {
+    return next_page_.load(std::memory_order_relaxed);
+  }
 
   /// Registers the per-tree counters into the unified metrics registry
   /// under `index.*` with the given labels.

@@ -33,7 +33,7 @@ struct ServerOptions {
 
   /// Worker lanes executing parsed requests (a private btrim::ThreadPool).
   /// <= 1 runs requests inline on the event-loop thread — the determinism
-  /// anchor for tests, same convention as pack_workers.
+  /// anchor for tests, the same convention as DatabaseOptions::pack_workers.
   int worker_lanes = 4;
 
   /// Admission control: parsed requests allowed in flight (queued +

@@ -100,19 +100,22 @@ void MetricsRegistry::Unregister(const std::string& name,
   if (it != entries_.end()) Retain(&it->second);
 }
 
-void MetricsRegistry::UnregisterMatching(const MetricLabels& labels) {
-  auto field_matches = [](const std::string& want, const std::string& have) {
-    return want.empty() || want == have;
+bool MetricsRegistry::Matches(const MetricLabels& want,
+                              const MetricLabels& have) {
+  auto field_matches = [](const std::string& w, const std::string& h) {
+    return w.empty() || w == h;
   };
+  return field_matches(want.subsystem, have.subsystem) &&
+         field_matches(want.table, have.table) &&
+         field_matches(want.partition, have.partition) &&
+         field_matches(want.tenant, have.tenant);
+}
+
+void MetricsRegistry::UnregisterMatching(const MetricLabels& labels) {
   MutexGuard guard(mu_);
   for (auto& [key, entry] : entries_) {
     (void)key;
-    if (field_matches(labels.subsystem, entry.labels.subsystem) &&
-        field_matches(labels.table, entry.labels.table) &&
-        field_matches(labels.partition, entry.labels.partition) &&
-        field_matches(labels.tenant, entry.labels.tenant)) {
-      Retain(&entry);
-    }
+    if (Matches(labels, entry.labels)) Retain(&entry);
   }
 }
 
@@ -142,6 +145,20 @@ bool MetricsRegistry::Lookup(const std::string& name,
   if (it == entries_.end()) return false;
   *out = Evaluate(it->second);
   return true;
+}
+
+int64_t MetricsRegistry::Sum(const std::string& name,
+                             const MetricLabels& match) const {
+  // Keys are name + '\x1f' + labels, so one name's entries are contiguous.
+  const std::string prefix = name + '\x1f';
+  int64_t total = 0;
+  MutexGuard guard(mu_);
+  for (auto it = entries_.lower_bound(prefix);
+       it != entries_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    if (Matches(match, it->second.labels)) total += Evaluate(it->second).value;
+  }
+  return total;
 }
 
 std::vector<MetricSample> MetricsRegistry::Snapshot() const {

@@ -78,6 +78,15 @@ class MetricsRegistry {
   bool Lookup(const std::string& name, const MetricLabels& labels,
               MetricSample* out) const;
 
+  /// Sums the values of every live and retained `name` entry whose labels
+  /// agree with the non-empty fields of `match` (the UnregisterMatching
+  /// wildcard rule); 0 when none match. Evaluates only entries of `name`.
+  /// A histogram contributes its sample count — read its percentiles
+  /// through Lookup. Typical reads:
+  ///   Sum("index.searches")                      every B+Tree, summed
+  ///   Sum("wal.syncs", {"syslogs", "", "", ""})  one log
+  int64_t Sum(const std::string& name, const MetricLabels& match = {}) const;
+
   /// Evaluates everything, live entries first-hand and retained entries
   /// from their final snapshot, in deterministic (name, labels) order.
   std::vector<MetricSample> Snapshot() const;
@@ -104,12 +113,14 @@ class MetricsRegistry {
   Status RegisterEntry(const std::string& name, MetricLabels labels,
                        Entry entry);
   static MetricSample Evaluate(const Entry& entry);
+  /// True when every non-empty field of `want` equals the one in `have`.
+  static bool Matches(const MetricLabels& want, const MetricLabels& have);
   static void Retain(Entry* entry);
 
-  /// Snapshot() evaluates gauge callbacks under mu_, and those callbacks
-  /// take subsystem locks (GC shard queues, ILM queues, the thread pool) —
-  /// hence the early kMetricsRegistry rank: registry -> subsystem nesting
-  /// is legal, subsystem -> registry is an ordering violation.
+  /// Snapshot() and Sum() evaluate gauge callbacks under mu_, and those
+  /// callbacks take subsystem locks (GC shard queues, ILM queues, the thread
+  /// pool) — hence the early kMetricsRegistry rank: registry -> subsystem
+  /// nesting is legal, subsystem -> registry is an ordering violation.
   mutable Mutex mu_{LockRank::kMetricsRegistry, "obs.registry"};
   /// Ordered map keyed on name + '\x1f' + labels for deterministic export.
   std::map<std::string, Entry> entries_ BTRIM_GUARDED_BY(mu_);

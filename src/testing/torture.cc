@@ -57,7 +57,7 @@ DatabaseOptions TortureDbOptions(const TortureConfig& config,
   DatabaseOptions options;
   options.in_memory = false;
   options.data_dir = config.dir;
-  options.sync_commits = true;
+  options.durability.policy = DurabilityPolicy::kSyncPerCommit;
   // Small caches force eviction write-backs and aggressive packing, so the
   // trace covers device writes, pack appends, and both logs — not just the
   // commit path.

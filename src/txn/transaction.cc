@@ -206,15 +206,6 @@ uint64_t TransactionManager::OldestActiveSnapshot() const {
   return oldest;
 }
 
-TransactionManagerStats TransactionManager::GetStats() const {
-  TransactionManagerStats s;
-  s.begun = begun_.Load();
-  s.committed = committed_.Load();
-  s.aborted = aborted_.Load();
-  s.active = ActiveCount();
-  return s;
-}
-
 Status TransactionManager::RegisterMetrics(obs::MetricsRegistry* registry,
                                            const std::string& subsystem) const {
   const obs::MetricLabels l{subsystem, "", "", ""};

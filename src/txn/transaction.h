@@ -91,14 +91,6 @@ class Transaction {
   bool ps_changes_ = false;
 };
 
-/// Transaction-manager counters.
-struct TransactionManagerStats {
-  int64_t begun = 0;
-  int64_t committed = 0;
-  int64_t aborted = 0;
-  int64_t active = 0;
-};
-
 /// Creates transactions, assigns begin/commit timestamps from the database
 /// commit clock (the atomic counter of Sec. VI.D), tracks the active set
 /// for garbage collection, and drives commit/abort processing.
@@ -183,7 +175,10 @@ class TransactionManager {
 
   LockManager* lock_manager() { return lock_manager_; }
 
-  TransactionManagerStats GetStats() const;
+  /// Transactions begun so far, and those currently registered (the latter
+  /// locks each active-set shard in turn).
+  int64_t BegunCount() const { return begun_.Load(); }
+  int64_t ActiveCount() const;
 
   /// Registers the manager's counters (and the active-set size as a derived
   /// gauge) into the unified metrics registry under `txn.*`.
@@ -224,9 +219,6 @@ class TransactionManager {
 
   void ReleaseAllLocks(Transaction* txn);
   void Unregister(Transaction* txn);
-
-  /// Total registered transactions (locks each shard in turn).
-  int64_t ActiveCount() const;
 
   /// Fast-path check + slow-path wait for the quiescence gate.
   void WaitWhilePaused();

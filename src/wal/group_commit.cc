@@ -202,14 +202,4 @@ Status GroupCommitter::RegisterMetrics(obs::MetricsRegistry* registry,
   return Status::OK();
 }
 
-GroupCommitStats GroupCommitter::GetStats() const {
-  GroupCommitStats s;
-  s.groups_committed = groups_.Load();
-  s.batches = batches_.Load();
-  s.batch_bytes = batch_bytes_.Load();
-  s.max_batch_groups = max_batch_groups_.Load();
-  s.commit_latency = latency_.GetSnapshot();
-  return s;
-}
-
 }  // namespace btrim

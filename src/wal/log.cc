@@ -216,18 +216,6 @@ Status Log::Truncate() {
   return storage_->Truncate();
 }
 
-LogStats Log::GetStats() const {
-  LogStats s;
-  s.records_appended = records_.Load();
-  s.bytes_appended = bytes_.Load();
-  s.groups_appended = groups_.Load();
-  s.syncs = syncs_.Load();
-  s.syncs_elided = syncs_elided_.Load();
-  s.append_failures = append_failures_.Load();
-  s.sync_failures = sync_failures_.Load();
-  return s;
-}
-
 Status Log::RegisterMetrics(obs::MetricsRegistry* registry,
                             const std::string& subsystem) const {
   const obs::MetricLabels l{subsystem, "", "", ""};

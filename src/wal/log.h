@@ -64,18 +64,6 @@ class FileLogStorage : public LogStorage {
   std::atomic<int64_t> size_{0};
 };
 
-/// Log traffic counters. Only operations that succeeded end-to-end count
-/// toward the traffic fields; failures have their own counters.
-struct LogStats {
-  int64_t records_appended = 0;
-  int64_t bytes_appended = 0;
-  int64_t groups_appended = 0;
-  int64_t syncs = 0;            ///< device syncs completed successfully
-  int64_t syncs_elided = 0;     ///< Commit() calls skipped: nothing new to sync
-  int64_t append_failures = 0;  ///< storage appends that failed (poisoning)
-  int64_t sync_failures = 0;    ///< storage syncs that failed (poisoning)
-};
-
 /// A transaction log (one instance each for syslogs and sysimrslogs).
 ///
 /// Appends are atomic per call: callers serialize a *group* of records
@@ -130,8 +118,6 @@ class Log {
   Status Truncate();
 
   int64_t SizeBytes() const { return storage_->Size(); }
-
-  LogStats GetStats() const;
 
   /// Registers this log's counters into the unified metrics registry under
   /// `wal.*` with the given subsystem label ("syslogs" / "sysimrslogs").

@@ -9,6 +9,7 @@
 
 #include "alloc/fragment_allocator.h"
 #include "common/random.h"
+#include "obs/metrics_registry.h"
 
 namespace btrim {
 namespace {
@@ -36,9 +37,11 @@ TEST(FragmentAllocatorTest, MemoryIsWritable) {
 
 TEST(FragmentAllocatorTest, ZeroAndOversizeRequestsFail) {
   FragmentAllocator alloc(kMiB, /*segment_bytes=*/64 * 1024);
+  obs::MetricsRegistry metrics;
+  ASSERT_TRUE(alloc.RegisterMetrics(&metrics, "imrs").ok());
   EXPECT_EQ(alloc.Allocate(0), nullptr);
   EXPECT_EQ(alloc.Allocate(64 * 1024), nullptr);  // exceeds a segment
-  EXPECT_EQ(alloc.GetStats().failed_allocs, 2);
+  EXPECT_EQ(metrics.Sum("imrs_cache.failed_allocs"), 2);
 }
 
 TEST(FragmentAllocatorTest, CapacityIsEnforced) {
@@ -85,6 +88,8 @@ TEST(FragmentAllocatorTest, FreedBlocksAreReused) {
 
 TEST(FragmentAllocatorTest, CoalescingRebuildsLargeBlocks) {
   FragmentAllocator alloc(kMiB, /*segment_bytes=*/64 * 1024);
+  obs::MetricsRegistry metrics;
+  ASSERT_TRUE(alloc.RegisterMetrics(&metrics, "imrs").ok());
   // Fill a segment with small blocks, free all, then allocate one large
   // block: without coalescing this fails.
   std::vector<void*> ptrs;
@@ -94,7 +99,7 @@ TEST(FragmentAllocatorTest, CoalescingRebuildsLargeBlocks) {
     ptrs.push_back(p);
   }
   for (void* p : ptrs) alloc.Free(p);
-  EXPECT_GT(alloc.GetStats().coalesce_count, 0);
+  EXPECT_GT(metrics.Sum("imrs_cache.coalesces"), 0);
   void* big = alloc.Allocate(60 * 1024);
   EXPECT_NE(big, nullptr);
   alloc.Free(big);
@@ -102,14 +107,16 @@ TEST(FragmentAllocatorTest, CoalescingRebuildsLargeBlocks) {
 
 TEST(FragmentAllocatorTest, StatsAreCoherent) {
   FragmentAllocator alloc(kMiB);
+  obs::MetricsRegistry metrics;
+  ASSERT_TRUE(alloc.RegisterMetrics(&metrics, "imrs").ok());
   void* a = alloc.Allocate(64);
   void* b = alloc.Allocate(128);
   alloc.Free(a);
-  FragmentAllocatorStats s = alloc.GetStats();
-  EXPECT_EQ(s.alloc_calls, 2);
-  EXPECT_EQ(s.free_calls, 1);
-  EXPECT_EQ(s.capacity_bytes, static_cast<int64_t>(kMiB));
-  EXPECT_GT(s.segment_bytes, 0);
+  EXPECT_EQ(metrics.Sum("imrs_cache.alloc_calls"), 2);
+  EXPECT_EQ(metrics.Sum("imrs_cache.free_calls"), 1);
+  EXPECT_EQ(metrics.Sum("imrs_cache.capacity_bytes"),
+            static_cast<int64_t>(kMiB));
+  EXPECT_GT(metrics.Sum("imrs_cache.segment_bytes"), 0);
   alloc.Free(b);
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_plan.h"
+#include "obs/metrics_registry.h"
 #include "page/buffer_cache.h"
 #include "page/device.h"
 #include "page/faulty_device.h"
@@ -244,6 +245,8 @@ TEST(LogPoisoningTest, FailedAppendPoisonsTheLog) {
   auto faulty = std::make_unique<FaultyLogStorage>(
       std::make_unique<MemLogStorage>(), plan, "log");
   Log log(std::move(faulty), /*sync_on_commit=*/true);
+  obs::MetricsRegistry metrics;
+  ASSERT_TRUE(log.RegisterMetrics(&metrics, "syslogs").ok());
 
   plan->FailNth(FaultOp::kAppend, "", 1);
   LogRecord rec;
@@ -251,8 +254,8 @@ TEST(LogPoisoningTest, FailedAppendPoisonsTheLog) {
   rec.txn_id = 1;
   EXPECT_FALSE(log.AppendRecord(rec).ok());
   EXPECT_TRUE(log.poisoned());
-  EXPECT_EQ(log.GetStats().append_failures, 1);
-  EXPECT_EQ(log.GetStats().records_appended, 0);
+  EXPECT_EQ(metrics.Sum("wal.append_failures"), 1);
+  EXPECT_EQ(metrics.Sum("wal.records_appended"), 0);
 
   // Every later operation fails with the sticky poison status without
   // reaching the storage: garbage may sit in the tail, and appending after
@@ -262,7 +265,8 @@ TEST(LogPoisoningTest, FailedAppendPoisonsTheLog) {
   EXPECT_FALSE(log.Commit().ok());
   EXPECT_FALSE(log.Truncate().ok());
   EXPECT_EQ(plan->ops_seen(), ops_before);
-  EXPECT_EQ(log.GetStats().append_failures, 1);  // counted once, at the cause
+  // Counted once, at the cause.
+  EXPECT_EQ(metrics.Sum("wal.append_failures"), 1);
 }
 
 TEST(LogPoisoningTest, FailedSyncPoisonsAndNeverElidesLater) {
@@ -270,6 +274,8 @@ TEST(LogPoisoningTest, FailedSyncPoisonsAndNeverElidesLater) {
   auto faulty = std::make_unique<FaultyLogStorage>(
       std::make_unique<MemLogStorage>(), plan, "log");
   Log log(std::move(faulty), /*sync_on_commit=*/true);
+  obs::MetricsRegistry metrics;
+  ASSERT_TRUE(log.RegisterMetrics(&metrics, "syslogs").ok());
 
   LogRecord rec;
   rec.type = LogRecordType::kPsCommit;
@@ -277,16 +283,14 @@ TEST(LogPoisoningTest, FailedSyncPoisonsAndNeverElidesLater) {
   ASSERT_TRUE(log.AppendRecord(rec).ok());
   plan->FailNth(FaultOp::kSync, "", 1);
   EXPECT_FALSE(log.Commit().ok());
-  LogStats stats = log.GetStats();
-  EXPECT_EQ(stats.sync_failures, 1);
-  EXPECT_EQ(stats.syncs, 0);
+  EXPECT_EQ(metrics.Sum("wal.sync_failures"), 1);
+  EXPECT_EQ(metrics.Sum("wal.syncs"), 0);
 
   // fsyncgate: a retried Commit must NOT succeed (or be elided as clean) —
   // the storage tail's durability is indeterminate after a failed fsync.
   EXPECT_FALSE(log.Commit().ok());
-  stats = log.GetStats();
-  EXPECT_EQ(stats.syncs, 0);
-  EXPECT_EQ(stats.syncs_elided, 0);
+  EXPECT_EQ(metrics.Sum("wal.syncs"), 0);
+  EXPECT_EQ(metrics.Sum("wal.syncs_elided"), 0);
 }
 
 // --- BufferCache propagation ------------------------------------------------
@@ -297,6 +301,8 @@ TEST(BufferCacheFaultTest, FlushAllPropagatesWriteError) {
   auto dev = MakeDevice(plan, &inner);
   BufferCache cache(4);
   cache.AttachDevice(0, dev.get());
+  obs::MetricsRegistry metrics;
+  ASSERT_TRUE(cache.RegisterMetrics(&metrics, "page").ok());
 
   {
     Result<PageGuard> guard =
@@ -307,7 +313,7 @@ TEST(BufferCacheFaultTest, FlushAllPropagatesWriteError) {
   }
   plan->FailNth(FaultOp::kWrite, "", 1);
   EXPECT_FALSE(cache.FlushAll().ok());
-  EXPECT_EQ(cache.GetStats().write_failures, 1);
+  EXPECT_EQ(metrics.Sum("buffer_cache.write_failures"), 1);
 
   // The frame stayed dirty, so a retry makes the page durable: EIO is an
   // error, never data loss.
@@ -324,6 +330,8 @@ TEST(BufferCacheFaultTest, EvictionWriteBackFailureSurfacesAndPreservesData) {
   auto dev = MakeDevice(plan, &inner);
   BufferCache cache(1);  // one frame: any second page forces eviction
   cache.AttachDevice(0, dev.get());
+  obs::MetricsRegistry metrics;
+  ASSERT_TRUE(cache.RegisterMetrics(&metrics, "page").ok());
 
   {
     Result<PageGuard> guard =
@@ -336,7 +344,7 @@ TEST(BufferCacheFaultTest, EvictionWriteBackFailureSurfacesAndPreservesData) {
   // Fixing another page needs the only frame; the dirty victim's write-back
   // fails and the fix reports it instead of dropping the data.
   EXPECT_FALSE(cache.FixPage(PageId{0, 1}, LatchMode::kShared).ok());
-  EXPECT_EQ(cache.GetStats().write_failures, 1);
+  EXPECT_EQ(metrics.Sum("buffer_cache.write_failures"), 1);
 
   // Once the device recovers, the same fix succeeds and the victim's bytes
   // survive the round trip.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics_registry.h"
 #include "wal/group_commit.h"
 #include "wal/log.h"
 #include "wal/log_record.h"
@@ -38,23 +39,31 @@ std::unique_ptr<Log> OpenFileLog(const std::string& path) {
   return std::make_unique<Log>(std::move(*storage), /*sync_on_commit=*/true);
 }
 
+// Registers a log and its committer into `metrics` the way a Database wires
+// syslogs.
+void Register(obs::MetricsRegistry* metrics, const Log& log,
+              const GroupCommitter& committer) {
+  EXPECT_TRUE(log.RegisterMetrics(metrics, "syslogs").ok());
+  EXPECT_TRUE(committer.RegisterMetrics(metrics, "syslogs").ok());
+}
+
 TEST(GroupCommitterTest, SyncPerCommitSyncsEveryGroup) {
   const std::string path = ::testing::TempDir() + "/gc_spc.log";
   std::unique_ptr<Log> log = OpenFileLog(path);
   DurabilityOptions opts;
   opts.policy = DurabilityPolicy::kSyncPerCommit;
   GroupCommitter committer(log.get(), opts);
+  obs::MetricsRegistry metrics;
+  Register(&metrics, *log, committer);
 
   for (uint64_t t = 1; t <= 4; ++t) {
     std::string group = SerializedGroup(t, 2);
     ASSERT_TRUE(committer.CommitGroup(Slice(group), 3).ok());
   }
-  EXPECT_EQ(log->GetStats().syncs, 4);
-  GroupCommitStats stats = committer.GetStats();
-  EXPECT_EQ(stats.groups_committed, 4);
-  EXPECT_EQ(stats.batches, 4);
-  EXPECT_DOUBLE_EQ(stats.GroupsPerBatch(), 1.0);
-  EXPECT_EQ(stats.commit_latency.total, 4);
+  EXPECT_EQ(metrics.Sum("wal.syncs"), 4);
+  EXPECT_EQ(metrics.Sum("commit.groups"), 4);
+  EXPECT_EQ(metrics.Sum("commit.batches"), 4);
+  EXPECT_EQ(metrics.Sum("commit.latency_us"), 4);  // histogram sample count
   std::filesystem::remove(path);
 }
 
@@ -64,12 +73,14 @@ TEST(GroupCommitterTest, NoSyncAppendsWithoutSyncing) {
   DurabilityOptions opts;
   opts.policy = DurabilityPolicy::kNoSync;
   GroupCommitter committer(log.get(), opts);
+  obs::MetricsRegistry metrics;
+  Register(&metrics, *log, committer);
 
   std::string group = SerializedGroup(1, 1);
   ASSERT_TRUE(committer.CommitGroup(Slice(group), 2).ok());
-  EXPECT_EQ(log->GetStats().syncs, 0);
-  EXPECT_EQ(committer.GetStats().groups_committed, 1);
-  EXPECT_EQ(committer.GetStats().batches, 0);  // no batching machinery used
+  EXPECT_EQ(metrics.Sum("wal.syncs"), 0);
+  EXPECT_EQ(metrics.Sum("commit.groups"), 1);
+  EXPECT_EQ(metrics.Sum("commit.batches"), 0);  // no batching machinery used
   int replayed = 0;
   ASSERT_TRUE(log->Replay([&](const LogRecord&) {
                    ++replayed;
@@ -87,13 +98,14 @@ TEST(GroupCommitterTest, LoneCommitterIsDurableAfterOneSync) {
   opts.max_batch_groups = 64;
   opts.max_group_latency_us = 100;  // short linger: no joiners will come
   GroupCommitter committer(log.get(), opts);
+  obs::MetricsRegistry metrics;
+  Register(&metrics, *log, committer);
 
   std::string group = SerializedGroup(1, 3);
   ASSERT_TRUE(committer.CommitGroup(Slice(group), 4).ok());
-  EXPECT_EQ(log->GetStats().syncs, 1);
-  GroupCommitStats stats = committer.GetStats();
-  EXPECT_EQ(stats.batches, 1);
-  EXPECT_EQ(stats.max_batch_groups, 1);
+  EXPECT_EQ(metrics.Sum("wal.syncs"), 1);
+  EXPECT_EQ(metrics.Sum("commit.batches"), 1);
+  EXPECT_EQ(metrics.Sum("commit.max_batch_groups"), 1);
   std::filesystem::remove(path);
 }
 
@@ -110,6 +122,8 @@ TEST(GroupCommitterTest, ConcurrentCommittersShareOneSync) {
   opts.max_batch_groups = kCommitters;
   opts.max_group_latency_us = 2'000'000;  // generous: cut short by the fill
   GroupCommitter committer(log.get(), opts);
+  obs::MetricsRegistry metrics;
+  Register(&metrics, *log, committer);
 
   std::atomic<bool> go{false};
   std::vector<std::thread> threads;
@@ -127,12 +141,10 @@ TEST(GroupCommitterTest, ConcurrentCommittersShareOneSync) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(log->GetStats().syncs, 1);
-  GroupCommitStats stats = committer.GetStats();
-  EXPECT_EQ(stats.groups_committed, kCommitters);
-  EXPECT_EQ(stats.batches, 1);
-  EXPECT_EQ(stats.max_batch_groups, kCommitters);
-  EXPECT_DOUBLE_EQ(stats.GroupsPerBatch(), kCommitters);
+  EXPECT_EQ(metrics.Sum("wal.syncs"), 1);
+  EXPECT_EQ(metrics.Sum("commit.groups"), kCommitters);
+  EXPECT_EQ(metrics.Sum("commit.batches"), 1);
+  EXPECT_EQ(metrics.Sum("commit.max_batch_groups"), kCommitters);
 
   // Every group replays complete and contiguous (per-txn record runs).
   int commits_seen = 0;
@@ -186,13 +198,15 @@ TEST(GroupCommitterTest, SyncFailurePoisonsTheCommitter) {
   opts.policy = DurabilityPolicy::kGroupCommit;
   opts.max_group_latency_us = 0;
   GroupCommitter committer(log.get(), opts);
+  obs::MetricsRegistry metrics;
+  Register(&metrics, *log, committer);
 
   std::string group = SerializedGroup(1, 1);
   EXPECT_TRUE(committer.CommitGroup(Slice(group), 2).IsIOError());
   // Sticky: later commits fail immediately, even though their own append
   // never ran (the log tail is no longer trustworthy).
   EXPECT_TRUE(committer.CommitGroup(Slice(group), 2).IsIOError());
-  EXPECT_EQ(committer.GetStats().groups_committed, 0);
+  EXPECT_EQ(metrics.Sum("commit.groups"), 0);
 }
 
 TEST(GroupCommitterTest, OptionsAreSanitized) {
@@ -203,9 +217,11 @@ TEST(GroupCommitterTest, OptionsAreSanitized) {
   opts.max_batch_groups = 0;      // clamped to 1
   opts.max_group_latency_us = -5;  // clamped to 0
   GroupCommitter committer(log.get(), opts);
+  obs::MetricsRegistry metrics;
+  Register(&metrics, *log, committer);
   std::string group = SerializedGroup(1, 1);
   ASSERT_TRUE(committer.CommitGroup(Slice(group), 2).ok());
-  EXPECT_EQ(committer.GetStats().batches, 1);
+  EXPECT_EQ(metrics.Sum("commit.batches"), 1);
 }
 
 }  // namespace

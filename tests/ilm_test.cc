@@ -14,6 +14,7 @@
 #include "ilm/pack.h"
 #include "ilm/tsf.h"
 #include "ilm/tuner.h"
+#include "obs/metrics_registry.h"
 
 namespace btrim {
 namespace {
@@ -506,6 +507,8 @@ TEST_F(PackTest, AggressiveLevelIgnoresHotness) {
 }
 
 TEST_F(PackTest, BypassActivatesWhenAggressiveCannotKeepUp) {
+  obs::MetricsRegistry metrics;
+  ASSERT_TRUE(pack_.RegisterMetrics(&metrics, "ilm").ok());
   FillAllocator(0.90);
   auto part = MakePartition(1, alloc_.InUseBytes(), 10);
   // No queued rows: utilization cannot drop.
@@ -516,7 +519,7 @@ TEST_F(PackTest, BypassActivatesWhenAggressiveCannotKeepUp) {
   PackCycleResult r2 = pack_.RunPackCycle({part.get()}, 2);
   EXPECT_TRUE(r2.bypass_active);
   EXPECT_TRUE(pack_.BypassActive());
-  EXPECT_EQ(pack_.GetStats().bypass_activations, 1);
+  EXPECT_EQ(metrics.Sum("pack.bypass_activations"), 1);
 }
 
 TEST_F(PackTest, ApportioningTaxesFatColdPartitions) {

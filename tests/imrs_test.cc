@@ -8,6 +8,7 @@
 #include "imrs/gc.h"
 #include "imrs/rid_map.h"
 #include "imrs/store.h"
+#include "obs/metrics_registry.h"
 
 namespace btrim {
 namespace {
@@ -211,6 +212,7 @@ class GcTest : public ::testing::Test {
       freed_rows_ += rows;
     };
     gc_ = std::make_unique<ImrsGc>(&store_, std::move(hooks));
+    EXPECT_TRUE(gc_->RegisterMetrics(&metrics_, "imrs").ok());
   }
 
   ImrsRow* MakeCommittedRow(uint16_t slot, uint64_t cts) {
@@ -232,6 +234,7 @@ class GcTest : public ::testing::Test {
   RidMap map_;
   ImrsStore store_;
   std::unique_ptr<ImrsGc> gc_;
+  obs::MetricsRegistry metrics_;
   int enqueued_ = 0;
   int unlinked_ = 0;
   int purge_calls_ = 0;
@@ -256,8 +259,7 @@ TEST_F(GcTest, OldVersionsTrimmedPastHorizon) {
 
   // Horizon at 9: v3 is the pivot; v2 and v1 are unreachable.
   gc_->RunOnce(9, 10);
-  GcStats stats = gc_->GetStats();
-  EXPECT_EQ(stats.versions_freed, 2);
+  EXPECT_EQ(metrics_.Sum("gc.versions_freed"), 2);
   RowVersion* head = row->latest.load();
   EXPECT_EQ(head->payload().ToString(), "v3");
   EXPECT_EQ(head->older.load(), nullptr);
@@ -271,12 +273,12 @@ TEST_F(GcTest, VersionsProtectedByOldSnapshotsKept) {
 
   // A reader at snapshot 3 still needs v1.
   gc_->RunOnce(3, 10);
-  EXPECT_EQ(gc_->GetStats().versions_freed, 0);
+  EXPECT_EQ(metrics_.Sum("gc.versions_freed"), 0);
   EXPECT_NE(row->latest.load()->older.load(), nullptr);
 
   // Once the horizon passes 5, v1 goes (the row was re-queued internally).
   gc_->RunOnce(5, 11);
-  EXPECT_EQ(gc_->GetStats().versions_freed, 1);
+  EXPECT_EQ(metrics_.Sum("gc.versions_freed"), 1);
 }
 
 TEST_F(GcTest, DeadRowPurgedAfterHorizon) {
@@ -293,11 +295,11 @@ TEST_F(GcTest, DeadRowPurgedAfterHorizon) {
   EXPECT_TRUE(row->HasFlag(kRowPurged));
 
   // Memory is deferred until the horizon passes the purge time.
-  EXPECT_GT(gc_->GetStats().deferred_pending, 0);
+  EXPECT_GT(metrics_.Sum("gc.deferred_pending"), 0);
   const int64_t in_use_before = alloc_.InUseBytes();
   gc_->RunOnce(/*oldest_snapshot=*/8, /*now=*/9);
   EXPECT_LT(alloc_.InUseBytes(), in_use_before);
-  EXPECT_EQ(gc_->GetStats().deferred_pending, 0);
+  EXPECT_EQ(metrics_.Sum("gc.deferred_pending"), 0);
 }
 
 TEST_F(GcTest, PurgeRetriesWhenPageStoreBusy) {
@@ -331,7 +333,7 @@ TEST_F(GcTest, PackedRowsAreSkipped) {
   gc_->EnqueueCommitted(row, true);
   gc_->RunOnce(100, 100);
   EXPECT_EQ(enqueued_, 0);
-  EXPECT_EQ(gc_->GetStats().versions_freed, 0);
+  EXPECT_EQ(metrics_.Sum("gc.versions_freed"), 0);
 }
 
 TEST_F(GcTest, DeferFreeWaitsForHorizon) {
@@ -350,7 +352,7 @@ TEST_F(GcTest, MaxItemsBoundsWork) {
     gc_->EnqueueCommitted(MakeCommittedRow(i, 1), true);
   }
   EXPECT_EQ(gc_->RunOnce(100, 100, /*max_items=*/3), 3);
-  EXPECT_EQ(gc_->GetStats().work_pending, 7);
+  EXPECT_EQ(metrics_.Sum("gc.work_pending"), 7);
   EXPECT_EQ(gc_->RunOnce(100, 100), 7);
 }
 

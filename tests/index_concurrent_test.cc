@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "index/btree.h"
 #include "index/epoch.h"
+#include "obs/metrics_registry.h"
 #include "page/device.h"
 
 namespace btrim {
@@ -32,6 +33,7 @@ class BTreeConcurrentTest : public ::testing::Test {
   BTreeConcurrentTest() : cache_(2048), tree_(1, &cache_, /*unique=*/true) {
     cache_.AttachDevice(1, &dev_);
     EXPECT_TRUE(tree_.Create().ok());
+    EXPECT_TRUE(tree_.RegisterMetrics(&metrics_, {}).ok());
   }
 
   ~BTreeConcurrentTest() override {
@@ -44,6 +46,7 @@ class BTreeConcurrentTest : public ::testing::Test {
   MemDevice dev_;
   BufferCache cache_;
   BTree tree_;
+  obs::MetricsRegistry metrics_;
 };
 
 TEST_F(BTreeConcurrentTest, ParallelWritersDisjointRanges) {
@@ -74,7 +77,7 @@ TEST_F(BTreeConcurrentTest, ParallelWritersDisjointRanges) {
   for (size_t i = 1; i < all.size(); ++i) {
     ASSERT_LT(all[i - 1].first, all[i].first) << "scan out of order at " << i;
   }
-  EXPECT_GT(tree_.GetStats().splits, 0);
+  EXPECT_GT(metrics_.Sum("index.splits"), 0);
 }
 
 TEST_F(BTreeConcurrentTest, ReadersVsSplittingWriters) {
@@ -208,25 +211,25 @@ TEST_F(BTreeConcurrentTest, EpochPinBlocksPageReclamation) {
     for (uint64_t k = 2000; k-- > 0;) {
       ASSERT_TRUE(tree_.Delete(IntKey(k)).ok());
     }
-    const BTreeStats mid = tree_.GetStats();
-    ASSERT_GT(mid.pages_retired, 0) << "emptied leaves should retire";
+    ASSERT_GT(metrics_.Sum("index.pages_retired"), 0)
+        << "emptied leaves should retire";
     EXPECT_EQ(tree_.DrainRetired(), 0)
         << "retired pages reclaimed under a live epoch pin";
-    EXPECT_EQ(tree_.GetStats().pages_reclaimed, 0);
+    EXPECT_EQ(metrics_.Sum("index.pages_reclaimed"), 0);
   }
-  const BTreeStats before = tree_.GetStats();
-  EXPECT_EQ(tree_.DrainRetired(), before.pages_retired);
-  EXPECT_EQ(tree_.GetStats().pages_reclaimed, before.pages_retired);
+  const int64_t retired = metrics_.Sum("index.pages_retired");
+  EXPECT_EQ(tree_.DrainRetired(), retired);
+  EXPECT_EQ(metrics_.Sum("index.pages_reclaimed"), retired);
 
   // Re-inserting reuses reclaimed page numbers instead of growing the
   // file (small slack: the rebuilt leaf boundaries need not line up
   // exactly with the original ones).
-  const int64_t allocated_before = tree_.GetStats().pages_allocated;
+  const int64_t allocated_before = tree_.pages_allocated();
   for (uint64_t k = 0; k < 2000; ++k) {
     ASSERT_TRUE(tree_.Insert(IntKey(k), k).ok());
   }
-  EXPECT_GT(tree_.GetStats().pages_reused, 0);
-  EXPECT_LE(tree_.GetStats().pages_allocated, allocated_before + 4)
+  EXPECT_GT(metrics_.Sum("index.pages_reused"), 0);
+  EXPECT_LE(tree_.pages_allocated(), allocated_before + 4)
       << "reinsert should be served almost entirely from the free list";
 }
 
@@ -270,8 +273,7 @@ TEST_F(BTreeConcurrentTest, ConcurrentDeletersAndScanners) {
   std::vector<std::pair<std::string, uint64_t>> rest;
   ASSERT_TRUE(tree_.Scan(IntKey(0), Slice(), 0, &rest).ok());
   EXPECT_TRUE(rest.empty());
-  const BTreeStats s = tree_.GetStats();
-  EXPECT_GT(s.pages_retired, 0);
+  EXPECT_GT(metrics_.Sum("index.pages_retired"), 0);
 }
 
 TEST_F(BTreeConcurrentTest, ScanReservesWithoutQuadraticGrowth) {

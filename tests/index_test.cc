@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "index/btree.h"
 #include "index/hash_index.h"
+#include "obs/metrics_registry.h"
 #include "page/device.h"
 
 namespace btrim {
@@ -27,10 +28,12 @@ class BTreeTest : public ::testing::Test {
   BTreeTest() : cache_(256), tree_(1, &cache_, /*unique=*/true) {
     cache_.AttachDevice(1, &dev_);
     EXPECT_TRUE(tree_.Create().ok());
+    EXPECT_TRUE(tree_.RegisterMetrics(&metrics_, {}).ok());
   }
   MemDevice dev_;
   BufferCache cache_;
   BTree tree_;
+  obs::MetricsRegistry metrics_;
 };
 
 TEST_F(BTreeTest, InsertAndSearch) {
@@ -71,9 +74,8 @@ TEST_F(BTreeTest, ManyKeysForceSplits) {
     ASSERT_TRUE(tree_.Insert(IntKey(static_cast<uint64_t>(i)), i * 10).ok())
         << "key " << i;
   }
-  BTreeStats stats = tree_.GetStats();
-  EXPECT_GT(stats.splits, 0);
-  EXPECT_GT(stats.height, 1);
+  EXPECT_GT(metrics_.Sum("index.splits"), 0);
+  EXPECT_GT(tree_.height(), 1);
   for (int i = 0; i < kKeys; i += 97) {
     Result<uint64_t> v = tree_.Search(IntKey(static_cast<uint64_t>(i)));
     ASSERT_TRUE(v.ok()) << "key " << i;

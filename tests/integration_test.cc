@@ -78,10 +78,11 @@ TEST_F(IntegrationTest, SustainedChurnThroughTinyImrsStaysCorrect) {
   db_->RunGcOnce();
   db_->RunIlmTickOnce();
 
-  DatabaseStats stats = db_->GetStats();
-  EXPECT_GT(stats.pack.rows_packed, 0);
+  const obs::MetricsRegistry& m = *db_->metrics_registry();
+  EXPECT_GT(m.Sum("pack.rows_packed"), 0);
   // Cache utilization stayed bounded.
-  EXPECT_LE(stats.imrs_cache.in_use_bytes, stats.imrs_cache.capacity_bytes);
+  EXPECT_LE(m.Sum("imrs_cache.in_use_bytes"),
+            m.Sum("imrs_cache.capacity_bytes"));
 
   // Every row is present exactly once.
   auto txn = db_->Begin();
@@ -383,7 +384,7 @@ TEST_F(IntegrationTest, MoneyConservationUnderPackChurn) {
       << "transfers must conserve money exactly ("
       << committed.load() << " committed)";
   // And the churn really happened.
-  EXPECT_GT(db_->GetStats().pack.rows_packed, 0);
+  EXPECT_GT(db_->metrics_registry()->Sum("pack.rows_packed"), 0);
 }
 
 TEST_F(IntegrationTest, TunerDisablesColdInsertOnlyTable) {

@@ -137,6 +137,63 @@ TEST(MetricsRegistryTest, UnregisterMatchingUsesWildcards) {
   EXPECT_FALSE(sample.retained);
 }
 
+TEST(MetricsRegistryTest, SumAddsMatchingLiveAndRetainedEntries) {
+  MetricsRegistry registry;
+  ShardedCounter pk, sec, other_table, longer_name;
+  pk.Add(3);
+  sec.Add(4);
+  other_table.Add(10);
+  longer_name.Add(100);
+  ASSERT_TRUE(registry
+                  .RegisterCounter("index.splits",
+                                   MetricLabels{"index", "kv", "pk", ""}, &pk)
+                  .ok());
+  ASSERT_TRUE(registry
+                  .RegisterCounter("index.splits",
+                                   MetricLabels{"index", "kv", "sec", ""}, &sec)
+                  .ok());
+  ASSERT_TRUE(registry
+                  .RegisterCounter("index.splits",
+                                   MetricLabels{"index", "t2", "pk", ""},
+                                   &other_table)
+                  .ok());
+  // Shares "index.splits" as a string prefix but is a different metric.
+  ASSERT_TRUE(registry
+                  .RegisterCounter("index.splits_total",
+                                   MetricLabels{"index", "kv", "pk", ""},
+                                   &longer_name)
+                  .ok());
+  // Sum evaluates only the entries of the requested name.
+  int gauge_calls = 0;
+  ASSERT_TRUE(registry
+                  .RegisterGaugeFn("index.zz_gauge",
+                                   MetricLabels{"index", "", "", ""},
+                                   [&gauge_calls] { return ++gauge_calls; })
+                  .ok());
+
+  EXPECT_EQ(registry.Sum("index.splits"), 17);
+  EXPECT_EQ(registry.Sum("index.splits", MetricLabels{"", "kv", "", ""}), 7);
+  EXPECT_EQ(registry.Sum("index.splits", MetricLabels{"", "", "pk", ""}), 13);
+  EXPECT_EQ(registry.Sum("index.split"), 0);
+  EXPECT_EQ(registry.Sum("absent"), 0);
+  EXPECT_EQ(gauge_calls, 0);
+
+  // A retired entry keeps contributing its final value.
+  registry.Unregister("index.splits", MetricLabels{"index", "t2", "pk", ""});
+  other_table.Add(1000);
+  EXPECT_EQ(registry.Sum("index.splits"), 17);
+
+  // A histogram contributes its sample count.
+  LatencyHistogram hist;
+  hist.Record(5);
+  hist.Record(50);
+  ASSERT_TRUE(registry
+                  .RegisterHistogram("commit.latency_us",
+                                     MetricLabels{"syslogs", "", "", ""}, &hist)
+                  .ok());
+  EXPECT_EQ(registry.Sum("commit.latency_us"), 2);
+}
+
 TEST(MetricsRegistryTest, SnapshotIsDeterministicallyOrdered) {
   MetricsRegistry registry;
   ShardedCounter a, b, c;

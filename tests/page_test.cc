@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "obs/metrics_registry.h"
 #include "page/buffer_cache.h"
 #include "page/device.h"
 #include "page/heap_file.h"
@@ -232,9 +233,13 @@ TEST(FileDeviceTest, PersistsAcrossReopen) {
 
 class BufferCacheTest : public ::testing::Test {
  protected:
-  BufferCacheTest() : cache_(8) { cache_.AttachDevice(1, &dev_); }
+  BufferCacheTest() : cache_(8) {
+    cache_.AttachDevice(1, &dev_);
+    EXPECT_TRUE(cache_.RegisterMetrics(&metrics_, "page").ok());
+  }
   MemDevice dev_;
   BufferCache cache_;
+  obs::MetricsRegistry metrics_;
 };
 
 TEST_F(BufferCacheTest, MissThenHit) {
@@ -249,9 +254,8 @@ TEST_F(BufferCacheTest, MissThenHit) {
     ASSERT_TRUE(g.ok());
     EXPECT_EQ(g->data()[0], 'A');
   }
-  BufferCacheStats s = cache_.GetStats();
-  EXPECT_EQ(s.misses, 1);
-  EXPECT_EQ(s.hits, 1);
+  EXPECT_EQ(metrics_.Sum("buffer_cache.misses"), 1);
+  EXPECT_EQ(metrics_.Sum("buffer_cache.hits"), 1);
 }
 
 TEST_F(BufferCacheTest, DirtyPageSurvivesEviction) {
@@ -266,7 +270,7 @@ TEST_F(BufferCacheTest, DirtyPageSurvivesEviction) {
     Result<PageGuard> g = cache_.FixPage({1, p}, LatchMode::kShared);
     ASSERT_TRUE(g.ok());
   }
-  EXPECT_GT(cache_.GetStats().evictions, 0);
+  EXPECT_GT(metrics_.Sum("buffer_cache.evictions"), 0);
   Result<PageGuard> g = cache_.FixPage({1, 42}, LatchMode::kShared);
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(static_cast<unsigned char>(g->data()[0]), 0x42);
@@ -310,7 +314,7 @@ TEST_F(BufferCacheTest, ContentionIsCountedOnExclusiveClash) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   a->Release();
   waiter.join();
-  EXPECT_GE(cache_.GetStats().latch_contention, 1);
+  EXPECT_GE(metrics_.Sum("buffer_cache.latch_contention"), 1);
 }
 
 TEST_F(BufferCacheTest, FlushAllWritesDirtyPages) {
@@ -334,11 +338,11 @@ TEST_F(BufferCacheTest, DropAllColdRestart) {
     g->MarkDirty();
   }
   ASSERT_TRUE(cache_.DropAll().ok());
-  BufferCacheStats before = cache_.GetStats();
+  const int64_t misses_before = metrics_.Sum("buffer_cache.misses");
   Result<PageGuard> g = cache_.FixPage({1, 3}, LatchMode::kShared);
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->data()[0], 'Q');
-  EXPECT_EQ(cache_.GetStats().misses, before.misses + 1);
+  EXPECT_EQ(metrics_.Sum("buffer_cache.misses"), misses_before + 1);
 }
 
 TEST_F(BufferCacheTest, ConcurrentMixedTraffic) {

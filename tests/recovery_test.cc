@@ -221,7 +221,7 @@ TEST_F(RecoveryTest, PackedRowsRecoverToPageStore) {
   }
   db_->RunGcOnce();
   for (int i = 0; i < 8; ++i) db_->RunIlmTickOnce();
-  ASSERT_GT(db_->GetStats().pack.rows_packed, 0);
+  ASSERT_GT(db_->metrics_registry()->Sum("pack.rows_packed"), 0);
   const int64_t imrs_rows_before_crash = db_->rid_map()->Size();
 
   Open(true, small);
@@ -545,7 +545,7 @@ class ParallelReplayTest : public RecoveryTest {
     DatabaseOptions small = DefaultOptions();
     small.imrs_cache_bytes = 128 * 1024;
     small.ilm.pack_cycle_pct = 0.25;
-    small.recovery_workers = workers;
+    small.pack_workers = workers;
     Open(true, small);
 
     RecoveredState state;
@@ -586,34 +586,6 @@ TEST_F(ParallelReplayTest, WorkerCountDoesNotChangeRecoveredState) {
         << " vs " << serial.rid_map_size << ", cursor "
         << parallel.row_cursor << " vs " << serial.row_cursor;
   }
-}
-
-// recovery_workers = 0 inherits pack_workers (one knob sizes the shared
-// pool); the outcome must still match the inline anchor.
-TEST_F(ParallelReplayTest, DefaultWorkersInheritPackWorkers) {
-  BuildWorkload();
-  const RecoveredState serial = RecoverWith(1);
-  DatabaseOptions small = DefaultOptions();
-  small.imrs_cache_bytes = 128 * 1024;
-  small.ilm.pack_cycle_pct = 0.25;
-  small.pack_workers = 4;
-  small.recovery_workers = 0;
-  Open(true, small);
-  RecoveredState state;
-  {
-    auto txn = db_->Begin();
-    std::vector<ScanRow> rows;
-    ASSERT_TRUE(db_->ScanIndex(txn.get(), table_, -1, Slice(), Slice(),
-                               /*limit=*/1 << 20, &rows)
-                    .ok());
-    ASSERT_TRUE(db_->Commit(txn.get()).ok());
-    for (const ScanRow& row : rows) {
-      RecordView v(&table_->schema(), Slice(row.payload));
-      state.rows.emplace_back(v.GetInt64(0), v.GetString(2).ToString());
-    }
-  }
-  EXPECT_EQ(state.rows, serial.rows);
-  EXPECT_EQ(db_->rid_map()->Size(), serial.rid_map_size);
 }
 
 // --- group commit ------------------------------------------------------------
@@ -669,11 +641,12 @@ class GroupCommitRecoveryTest : public RecoveryTest {
 TEST_F(GroupCommitRecoveryTest, BatchedCommitsAreDurableAcrossCrash) {
   Open(false, GroupCommitOptions());
   CommitOneBatch(0, "batched");
-  DatabaseStats stats = db_->GetStats();
   // The point of group commit: one device sync covered all 8 commits.
-  EXPECT_EQ(stats.sysimrslogs.syncs, 1);
-  EXPECT_EQ(stats.sysimrslogs_commit.batches, 1);
-  EXPECT_EQ(stats.sysimrslogs_commit.max_batch_groups, kCommitters);
+  const obs::MetricsRegistry& m = *db_->metrics_registry();
+  const obs::MetricLabels imrs_log{"sysimrslogs", "", "", ""};
+  EXPECT_EQ(m.Sum("wal.syncs", imrs_log), 1);
+  EXPECT_EQ(m.Sum("commit.batches", imrs_log), 1);
+  EXPECT_EQ(m.Sum("commit.max_batch_groups", imrs_log), kCommitters);
 
   Open(true, ReopenOptions());
   for (int64_t i = 0; i < kCommitters; ++i) {

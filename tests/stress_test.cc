@@ -374,10 +374,11 @@ TEST(GroupCommitStressTest, EightWorkerCommitAbortHammer) {
   EXPECT_GT(aborted.load(), 0);
 
   // The whole point: far fewer device syncs than commits.
-  DatabaseStats stats = db->GetStats();
-  const int64_t syncs = stats.syslogs.syncs + stats.sysimrslogs.syncs;
-  EXPECT_LT(syncs, committed.load());
-  EXPECT_GT(stats.sysimrslogs_commit.GroupsPerBatch(), 1.0);
+  const obs::MetricsRegistry& m = *db->metrics_registry();
+  EXPECT_LT(m.Sum("wal.syncs"), committed.load());  // both logs
+  const obs::MetricLabels imrs_log{"sysimrslogs", "", "", ""};
+  EXPECT_GT(m.Sum("commit.groups", imrs_log),
+            m.Sum("commit.batches", imrs_log));  // > 1 group per batch
 
   ValidateReport report;
   Status v = db->ValidateInvariants(&report);
@@ -488,8 +489,7 @@ TEST(TpccStressTest, EightWorkersAgainstParallelPack) {
   db->StopBackground();
 
   // The hammer is pointless if pack never fired.
-  DatabaseStats dbstats = db->GetStats();
-  EXPECT_GT(dbstats.pack.rows_packed, 0);
+  EXPECT_GT(db->metrics_registry()->Sum("pack.rows_packed"), 0);
 
   ValidateReport report;
   Status v = db->ValidateInvariants(&report);

@@ -234,10 +234,11 @@ TEST_F(TpccTest, PaymentUpdatesYtdChain) {
 TEST_F(TpccTest, OrderStatusIsReadOnly) {
   Open();
   TpccRandom rnd(14);
-  const int64_t committed_before = db_->GetStats().txns.committed;
+  const obs::MetricsRegistry& m = *db_->metrics_registry();
+  const int64_t committed_before = m.Sum("txn.committed");
   TxnResult r = RunOrderStatus(&ctx_, &rnd, 1);
   EXPECT_TRUE(r.committed) << r.status.ToString();
-  EXPECT_EQ(db_->GetStats().txns.committed, committed_before + 1);
+  EXPECT_EQ(m.Sum("txn.committed"), committed_before + 1);
   // No table grew.
   EXPECT_EQ(CountRows(tables_.orders),
             static_cast<int64_t>(scale_.warehouses) *
@@ -393,7 +394,7 @@ TEST_F(TpccTest, IlmOffKeepsEverythingTouchedInMemory) {
     RunPayment(&ctx_, &rnd, 1);
   }
   // With ILM off nothing is ever packed.
-  EXPECT_EQ(db_->GetStats().pack.rows_packed, 0);
+  EXPECT_EQ(db_->metrics_registry()->Sum("pack.rows_packed"), 0);
   EXPECT_GT(db_->rid_map()->Size(), 0);
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics_registry.h"
 #include "page/page.h"
 #include "wal/log.h"
 #include "wal/log_record.h"
@@ -24,6 +25,13 @@ LogRecord SampleRecord(LogRecordType type, uint64_t txn = 7) {
   rec.before = "before-image";
   rec.after = "after-image";
   return rec;
+}
+
+// Reads one of `log`'s wal.* counters through a metrics registry.
+int64_t LogCounter(const Log& log, const char* name) {
+  obs::MetricsRegistry metrics;
+  EXPECT_TRUE(log.RegisterMetrics(&metrics, "syslogs").ok());
+  return metrics.Sum(name);
 }
 
 void ExpectEqualRecords(const LogRecord& a, const LogRecord& b) {
@@ -162,9 +170,8 @@ TEST(LogTest, AppendAndReplay) {
                  })
                   .ok());
   EXPECT_EQ(seen, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
-  LogStats stats = log.GetStats();
-  EXPECT_EQ(stats.records_appended, 5);
-  EXPECT_GT(stats.bytes_appended, 0);
+  EXPECT_EQ(LogCounter(log, "wal.records_appended"), 5);
+  EXPECT_GT(LogCounter(log, "wal.bytes_appended"), 0);
 }
 
 TEST(LogTest, ReplayStopsWhenCallbackReturnsFalse) {
@@ -195,8 +202,8 @@ TEST(LogTest, GroupAppendIsContiguous) {
                  })
                   .ok());
   EXPECT_EQ(seen, (std::vector<uint64_t>{1, 42, 42, 2}));
-  EXPECT_EQ(log.GetStats().groups_appended, 1);
-  EXPECT_EQ(log.GetStats().records_appended, 4);
+  EXPECT_EQ(LogCounter(log, "wal.groups_appended"), 1);
+  EXPECT_EQ(LogCounter(log, "wal.records_appended"), 4);
 }
 
 TEST(LogTest, TruncateEmptiesReplay) {
@@ -222,14 +229,14 @@ TEST(LogTest, CommitSyncsOnlyWhenConfigured) {
     Log log(std::move(*storage), /*sync_on_commit=*/true);
     ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsCommit)).ok());
     ASSERT_TRUE(log.Commit().ok());
-    EXPECT_EQ(log.GetStats().syncs, 1);
+    EXPECT_EQ(LogCounter(log, "wal.syncs"), 1);
   }
   {
     auto storage = FileLogStorage::Open(path);
     ASSERT_TRUE(storage.ok());
     Log log(std::move(*storage), /*sync_on_commit=*/false);
     ASSERT_TRUE(log.Commit().ok());
-    EXPECT_EQ(log.GetStats().syncs, 0);
+    EXPECT_EQ(LogCounter(log, "wal.syncs"), 0);
   }
   std::filesystem::remove(path);
 }
@@ -243,23 +250,23 @@ TEST(LogTest, RedundantCommitsElideTheSync) {
 
   // Nothing appended yet: Commit has nothing to make durable.
   ASSERT_TRUE(log.Commit().ok());
-  EXPECT_EQ(log.GetStats().syncs, 0);
-  EXPECT_EQ(log.GetStats().syncs_elided, 1);
+  EXPECT_EQ(LogCounter(log, "wal.syncs"), 0);
+  EXPECT_EQ(LogCounter(log, "wal.syncs_elided"), 1);
 
   ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsCommit)).ok());
   ASSERT_TRUE(log.Commit().ok());
-  EXPECT_EQ(log.GetStats().syncs, 1);
+  EXPECT_EQ(LogCounter(log, "wal.syncs"), 1);
 
   // Clean log: the second Commit is a no-op.
   ASSERT_TRUE(log.Commit().ok());
-  EXPECT_EQ(log.GetStats().syncs, 1);
-  EXPECT_EQ(log.GetStats().syncs_elided, 2);
+  EXPECT_EQ(LogCounter(log, "wal.syncs"), 1);
+  EXPECT_EQ(LogCounter(log, "wal.syncs_elided"), 2);
 
   // New append dirties the log again.
   ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsCommit)).ok());
   ASSERT_TRUE(log.Commit().ok());
-  EXPECT_EQ(log.GetStats().syncs, 2);
-  EXPECT_EQ(log.GetStats().syncs_elided, 2);
+  EXPECT_EQ(LogCounter(log, "wal.syncs"), 2);
+  EXPECT_EQ(LogCounter(log, "wal.syncs_elided"), 2);
   std::filesystem::remove(path);
 }
 
@@ -277,7 +284,7 @@ TEST(LogTest, SingleRecordAppendsDoNotDoubleSerialize) {
       log.AppendRecord(SampleRecord(LogRecordType::kPsInsert, 2), &scratch)
           .ok());
   EXPECT_EQ(scratch.size(), one_record);
-  EXPECT_EQ(log.GetStats().bytes_appended,
+  EXPECT_EQ(LogCounter(log, "wal.bytes_appended"),
             static_cast<int64_t>(2 * one_record));
 }
 

@@ -14,11 +14,10 @@ absolute throughput depends on the runner, so the gate checks *shape*:
      tps(group_commit) / tps(sync_per_commit) at the same worker count
      must not drop more than `threshold` below the same ratio in the
      baseline. Normalizing by the same-run sync cell cancels machine speed.
-  3. group_commit at >= 4 workers must batch at all (fsyncs/commit < 1.0),
-     mirroring micro_commit's own --smoke gate.
+  3. group_commit at >= 4 workers must batch at all (fsyncs/commit < 1.0).
   4. Optionally (--metrics), a tpcc_cli/bench metrics export must cover the
-     required metric names — the "every previously printed stats field is
-     exported" acceptance check.
+     required metric names — every counter the stats report prints is
+     exported.
   5. Optionally (--pack-current/--pack-baseline), a `micro_pack --smoke
      --out` JSON is gated the same way: within the current run 4-worker
      pack throughput must be >= 2x 1-worker for every IMRS size (the
@@ -44,6 +43,10 @@ absolute throughput depends on the runner, so the gate checks *shape*:
      a btrim_server metrics export must cover every name in the manifest's
      "server_required" (net.*) list.
 
+This script is the only home of these floors: the benches' --smoke runs
+only shrink the workload (micro_server alone keeps an absolute throughput
+floor, which has no twin here).
+
 Exit 0 when green; exit 1 with one line per violation otherwise.
 """
 
@@ -53,10 +56,10 @@ import os
 import sys
 
 # The required-metric names live in tools/required_metrics.json next to
-# this script: "required" is every stats field FormatDatabaseStats() used
-# to print plus the cold-columnar counters (ISSUE: >= 95% coverage; we
-# require 100% of the enumerated list), "known_optional" is the rest of
-# the exported universe. A metrics export containing a name in neither
+# this script: "required" covers every registry name FormatDatabaseStats()
+# reads, plus the checkpoint, cold-columnar, partition, pool and tpcc
+# driver surfaces (100% of the enumerated list); "known_optional" is the
+# rest of the exported universe. A metrics export containing a name in neither
 # list fails the drift lint — new metrics must be recorded in the manifest.
 MANIFEST_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "required_metrics.json")
@@ -201,7 +204,7 @@ def check_pack(current, baseline, threshold, errors):
 
 
 # Point-read throughput ratio, 8 threads over 1, and the TPC-C 8w/1w
-# floor. Mirrored in bench/micro_index.cc's --smoke gate — keep in sync.
+# floor.
 INDEX_READ_SCALING_FLOOR = 3.0   # enforced when hw_threads >= 4
 INDEX_READ_SCALING_FLOOR_2T = 1.4  # enforced when hw_threads in [2, 3]
 TPCC_SCALING_FLOOR = 1.0         # enforced when hw_threads >= 4
@@ -269,8 +272,7 @@ def check_index(current, baseline, threshold, errors):
 # The overlapped checkpoint's foreground stall budget: the begin barrier
 # may cost at most this fraction of the full checkpoint duration (the
 # quiescent design it replaced stalled commits for the whole duration, so
-# this ratio is literally "new pause / old pause"). Mirrored in
-# bench/micro_recovery.cc's --smoke gate — keep in sync.
+# this ratio is literally "new pause / old pause").
 CHECKPOINT_PAUSE_FRACTION = 0.10
 CHECKPOINT_PAUSE_EPSILON_US = 500   # clock-granularity slack on fast runs
 RECOVERY_SCALING_FLOOR = 2.0        # 1w/4w replay time, hw_threads >= 4
@@ -346,8 +348,7 @@ def check_recovery(current, baseline, errors):
                     f"regenerate bench/BENCH_micro_recovery.json")
 
 
-# HTAP gates over micro_htap --out JSON. Constants mirrored in
-# bench/micro_htap.cc's --smoke gate — keep in sync.
+# HTAP gates over micro_htap --out JSON.
 HTAP_COMPRESSION_FLOOR = 1.1    # cold bytes raw / compressed
 HTAP_DIP_FLOOR = 0.3            # mixed/alone OLTP tpm, hw_threads >= 4
 HTAP_DIP_FLOOR_1T = 0.2         # mixed/alone OLTP tpm, hw_threads < 4
@@ -413,8 +414,7 @@ def check_htap(current, baseline, threshold, errors):
 # machine-portable: loopback RTT and runner core count dominate absolute
 # numbers, so the gate checks liveness, error-freedom, the zero-shed
 # property at low load, a liveness-grade p99 ceiling, and that concurrency
-# does not collapse throughput within the same run. kSmoke* constants are
-# mirrored in bench/micro_server.cc's --smoke gate — keep in sync.
+# does not collapse throughput within the same run.
 SERVER_P99_CEILING_US = 2_000_000
 SERVER_CONCURRENCY_COLLAPSE_FLOOR = 0.5  # tps(4t) / tps(1t)
 
