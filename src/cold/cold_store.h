@@ -38,7 +38,7 @@ class MetricsRegistry;
 /// segment row (upsert). There are no tombstone bitsets — scans skip
 /// unmapped rows.
 ///
-/// Lock order (all between kRidMapStripe and kHashBucket):
+/// Lock order (all between kLockStripe and kHashBucket):
 ///   kColdBuilder (142)  per-partition staging mutex / partition registry
 ///   kColdSegments (143) sealed-segment list + per-table column stats
 ///   kColdIndexShard (144) rid index shards

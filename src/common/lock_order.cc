@@ -22,7 +22,6 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kFilePool: return "file_pool";
     case LockRank::kLockTable: return "lock_table";
     case LockRank::kLockStripe: return "lock_stripe";
-    case LockRank::kRidMapStripe: return "rid_map_stripe";
     case LockRank::kColdBuilder: return "cold_builder";
     case LockRank::kColdSegments: return "cold_segments";
     case LockRank::kColdIndexShard: return "cold_index_shard";

@@ -59,7 +59,6 @@ enum class LockRank : uint16_t {
   kLockTable = 125,    ///< LockManager::Stripe::table_lock (entry map; taken
                        ///< before the stripe mutex on every slow path)
   kLockStripe = 130,   ///< LockManager::Stripe::mu
-  kRidMapStripe = 140, ///< RidMap::Stripe::lock
   kColdBuilder = 142,  ///< ColdStore::PartitionBuilders::mu (open builders;
                        ///< appends to the cold segment file and takes the
                        ///< segment list + index shards while held)
@@ -72,15 +71,16 @@ enum class LockRank : uint16_t {
 
   // --- Tier 4: page path ----------------------------------------------------
   // Frame latches rank *outside* the buffer map: latch-coupling paths hold a
-  // page latch and block on a shard mutex when fixing the next page. The
-  // reverse nesting inside FixPage (frame latch taken under the shard mutex)
-  // is a try-lock asserted free, which records no ordering edge (see
-  // OnTryAcquire). kIndexFreeList ranks inside kPageFrame because split
-  // writers allocate pages while holding the leaf latch.
+  // page latch and block on the install mutex when the next page misses
+  // (hits take no mutex). The reverse nesting inside FixPage (frame latch
+  // taken under the install mutex) is a try-lock asserted free, which
+  // records no ordering edge (see OnTryAcquire). kIndexFreeList ranks
+  // inside kPageFrame because split writers allocate pages while holding
+  // the leaf latch.
   kBTreeRoot = 180,      ///< reserved (tree_lock_ retired by the OLC rebuild;
                          ///< the root pointer is now a lock-free atomic)
   kPageFrame = 190,      ///< BufferCache frame latches (latch-coupled in-rank)
-  kBufferMap = 200,      ///< BufferCache::Shard::mu (sharded page map)
+  kBufferMap = 200,      ///< BufferCache::install_mu_ (miss path only)
   kIndexFreeList = 205,  ///< BTree::pages_mu_ (retired/free page lists)
 
   // --- Tier 5: durability internals -----------------------------------------

@@ -38,7 +38,7 @@
 //   3. Stash drain + durability barrier. The stash is closed (under its
 //      leaf lock, atomically with clearing `active`) and flushed as the
 //      final snapshot chunk. Any row evicted after the drain was present in
-//      its RID-map stripe for the entire walk and has therefore already
+//      its RID-map slot for the entire walk and has therefore already
 //      been serialized. Then the classic barrier runs — flush dirty pages,
 //      force both logs, sync the data devices — and kCheckpointEnd (synced)
 //      seals the pair. Recovery rebases onto the newest *complete*
@@ -51,9 +51,9 @@
 //      lives there). Skipped without waiting when transactions are active.
 //
 // Lock order: checkpoint_mu_ (kCheckpointGate, outermost — one
-// checkpointer at a time) -> background_rw_ shared -> RID-map stripes /
-// log internals. The stash lock (kCheckpointStash) is a leaf taken by
-// pack/GC eviction paths and by the drain.
+// checkpointer at a time) -> background_rw_ shared -> log internals (the
+// RID-map walk itself is lock-free). The stash lock (kCheckpointStash) is a
+// leaf taken by pack/GC eviction paths and by the drain.
 
 #include <algorithm>
 #include <chrono>

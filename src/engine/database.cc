@@ -287,6 +287,7 @@ Result<Table*> Database::CreateTable(TableOptions options) {
     part.id = static_cast<uint32_t>(p);
     part.heap = std::make_unique<HeapFile>(*file, &buffer_cache_,
                                            slots_per_page);
+    rid_map_.SetSlotsPerPage(*file, slots_per_page);
     part.ilm = ilm_->RegisterPartition(
         table->id_, part.id,
         options.name + "/" + std::to_string(p));
@@ -645,7 +646,7 @@ PackBatchOutcome Database::PackBatch(PartitionState* partition,
     txn->CountImrsRecord();
 
     // CoW hook: an in-flight overlapped checkpoint may not have reached
-    // this row's RID-map stripe yet — stash its snapshot-visible pre-image
+    // this row's RID-map slot yet — stash its snapshot-visible pre-image
     // before the erase makes the walk miss it (checkpoint.cc).
     StashCheckpointPreImage(row);
     row->SetFlag(kRowPacked);

@@ -513,7 +513,7 @@ class Database : public PackClient {
     std::atomic<uint64_t> snapshot_ts{0};
     /// CoW side buffer: serialized kImrsSnapshotRow/Del records for rows
     /// pack evicted after the begin barrier (the snapshot walk may already
-    /// have passed their RID-map stripe). Leaf lock; drained by the
+    /// have passed their RID-map slot). Leaf lock; drained by the
     /// checkpointer before the end record.
     SpinLock stash_mu{LockRank::kCheckpointStash, "engine.checkpoint_stash"};
     std::string stash BTRIM_GUARDED_BY(stash_mu);

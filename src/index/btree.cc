@@ -218,26 +218,10 @@ inline uint32_t Ver32(uint64_t v) {
 BTree::BTree(uint16_t file_id, BufferCache* cache, bool unique)
     : file_id_(file_id), cache_(cache), unique_(unique) {}
 
-BTree::~BTree() {
-  for (auto& c : version_chunks_) {
-    delete c.load(std::memory_order_relaxed);  // lock-free chunk table
-  }
-}
+BTree::~BTree() = default;
 
 std::atomic<uint64_t>& BTree::VersionCell(uint32_t page_no) const {
-  const size_t chunk = page_no >> kVersionChunkBits;
-  assert(chunk < kMaxVersionChunks);
-  VersionChunk* c = version_chunks_[chunk].load(std::memory_order_acquire);
-  if (c == nullptr) {
-    VersionChunk* fresh = new VersionChunk();  // lock-free chunk table
-    if (version_chunks_[chunk].compare_exchange_strong(
-            c, fresh, std::memory_order_acq_rel, std::memory_order_acquire)) {
-      c = fresh;
-    } else {
-      delete fresh;  // lock-free chunk table: lost the race to the winner
-    }
-  }
-  return c->v[page_no & (kVersionChunkSize - 1)];
+  return versions_.At(page_no);
 }
 
 uint64_t BTree::LoadVersion(uint32_t page_no) const {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/counters.h"
+#include "common/dense_directory.h"
 #include "common/slice.h"
 #include "common/spinlock.h"
 #include "common/status.h"
@@ -123,15 +124,10 @@ class BTree {
                          const obs::MetricLabels& labels) const;
 
  private:
-  // Version table: one atomic per page number, chunked so it grows without
-  // relocating live atomics. 4096 chunks x 4096 entries covers 16M pages
-  // (128 GiB of index) per tree.
-  static constexpr size_t kVersionChunkBits = 12;
-  static constexpr size_t kVersionChunkSize = size_t{1} << kVersionChunkBits;
-  static constexpr size_t kMaxVersionChunks = 4096;
-  struct VersionChunk {
-    std::atomic<uint64_t> v[kVersionChunkSize] = {};
-  };
+  // Version table: one atomic per page number in a DenseArray, so it grows
+  // without relocating live atomics. 4096 segments x 4096 entries covers
+  // 16M pages (128 GiB of index) per tree.
+  using VersionTable = DenseArray<uint64_t, 12, 4096>;
 
   struct RetiredPage {
     uint32_t page_no;
@@ -195,7 +191,7 @@ class BTree {
   // of leaf keys, so no separator can exceed it).
   std::atomic<uint32_t> max_key_size_{8};
 
-  mutable std::atomic<VersionChunk*> version_chunks_[kMaxVersionChunks] = {};
+  mutable VersionTable versions_;
 
   mutable SpinLock pages_mu_{LockRank::kIndexFreeList, "index.page_freelist"};
   std::vector<uint32_t> free_pages_ BTRIM_GUARDED_BY(pages_mu_);

@@ -7,31 +7,6 @@
 
 namespace btrim {
 
-namespace {
-
-// SplitMix64 finalizer — PageId encodings are highly regular (file id in
-// the top bits, sequential page numbers below), so shard selection needs a
-// real mixer to avoid aliasing whole files onto one shard.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-// Largest power of two <= min(16, num_frames/16): enough shards to spread
-// foreground fixers, never so many that a shard's LRU becomes too small a
-// sample (>= 16 frames each).
-size_t PickShardCount(size_t num_frames) {
-  size_t limit = num_frames / 16;
-  if (limit > 16) limit = 16;
-  size_t n = 1;
-  while (n * 2 <= limit) n *= 2;
-  return n;
-}
-
-}  // namespace
-
 PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
   if (this != &other) {
     Release();
@@ -63,26 +38,8 @@ void PageGuard::Release() {
 BufferCache::BufferCache(size_t num_frames)
     : num_frames_(num_frames),
       arena_(std::make_unique<char[]>(num_frames * kPageSize)),
-      meta_(num_frames),
-      devices_(1 << 16, nullptr) {
-  const size_t n = PickShardCount(num_frames);
-  shards_.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  // Round-robin frame ownership: every shard gets an equal slice, and
-  // low-numbered frames are handed out first within each shard.
-  for (size_t i = 0; i < num_frames; ++i) {
-    const size_t frame = num_frames - 1 - i;
-    Shard& s = *shards_[frame % n];
-    meta_[frame].home_shard = static_cast<uint16_t>(frame % n);
-    s.free_frames.push_back(frame);
-  }
-}
-
-BufferCache::Shard& BufferCache::ShardFor(PageId pid) const {
-  return *shards_[Mix64(pid.Encode()) & (shards_.size() - 1)];
-}
+      frames_(std::make_unique<Frame[]>(num_frames)),
+      devices_(1 << 16, nullptr) {}
 
 BufferCache::~BufferCache() = default;
 
@@ -94,140 +51,197 @@ Device* BufferCache::device(uint16_t file_id) const {
   return devices_[file_id];
 }
 
+bool BufferCache::PinFrame(size_t frame) {
+  std::atomic<uint32_t>& pin = frames_[frame].pin;
+  if ((pin.fetch_add(1, std::memory_order_acquire) & kEvicting) == 0) {
+    return true;
+  }
+  // An install owns the frame; its claim ends by subtracting the sentinel,
+  // which leaves our transient increment for this decrement to undo.
+  pin.fetch_sub(1, std::memory_order_relaxed);
+  return false;
+}
+
+bool BufferCache::TryPin(size_t frame, PageId pid) {
+  if (!PinFrame(frame)) return false;
+  // `pid` only changes under a claim, which our pin now excludes; the
+  // acquire on the pin word orders this load after the installer's store.
+  if (frames_[frame].pid.load(std::memory_order_relaxed) == pid.Encode()) {
+    return true;
+  }
+  Unpin(frame);  // recycled for another page since the table lookup
+  return false;
+}
+
+void BufferCache::Unpin(size_t frame) {
+  frames_[frame].pin.fetch_sub(1, std::memory_order_release);
+}
+
+// Justified suppression: the frame latch is acquired here and handed to the
+// returned PageGuard (released later in Unfix), an ownership hand-off
+// thread-safety analysis cannot express.
+PageGuard BufferCache::LatchPinned(size_t frame, PageId pid, LatchMode mode)
+    BTRIM_NO_THREAD_SAFETY_ANALYSIS {
+  Frame& fr = frames_[frame];
+  // Read before writing so a hot page's line is not dirtied on every hit.
+  if (!fr.ref.load(std::memory_order_relaxed)) {
+    fr.ref.store(true, std::memory_order_relaxed);
+  }
+  bool contended = false;
+  if (mode == LatchMode::kExclusive) {
+    if (!fr.latch.try_lock()) {
+      contended = true;
+      contention_.Inc();
+      fr.latch.lock();
+    }
+  } else {
+    if (!fr.latch.try_lock_shared()) {
+      contended = true;
+      contention_.Inc();
+      fr.latch.lock_shared();
+    }
+  }
+  return PageGuard(this, frame, arena_.get() + frame * kPageSize, pid, mode,
+                   contended);
+}
+
+BufferCache::Sweep BufferCache::SweepLocked(size_t* frame) {
+  // Two laps: the first spends reference bits, the second ignores them, so
+  // only pins (never a hot working set) can make the sweep come up empty.
+  for (size_t step = 0; step < 2 * num_frames_; ++step) {
+    const size_t f = clock_hand_;
+    clock_hand_ = f + 1 == num_frames_ ? 0 : f + 1;
+    Frame& fr = frames_[f];
+    if (fr.pin.load(std::memory_order_relaxed) != 0) continue;
+    const bool resident = fr.pid.load(std::memory_order_relaxed) != kNoPage;
+    if (resident && step < num_frames_ &&
+        fr.ref.load(std::memory_order_relaxed)) {
+      fr.ref.store(false, std::memory_order_relaxed);
+      continue;
+    }
+    uint32_t expected = 0;
+    if (!fr.pin.compare_exchange_strong(expected, kEvicting,
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+      continue;  // pinned since the load above
+    }
+    *frame = f;
+    // The claim read the last unpin (a release), so a MarkDirty made under
+    // any earlier pin is visible here: test dirtiness only after claiming.
+    if (resident && fr.dirty.load(std::memory_order_relaxed)) {
+      fr.pin.fetch_sub(kEvicting - 1, std::memory_order_release);
+      return Sweep::kWriteBack;  // claim -> our write-back pin
+    }
+    return Sweep::kClaimed;
+  }
+  return Sweep::kAllPinned;
+}
+
 // Justified suppression: FixPage acquires the frame latch and transfers its
 // ownership to the returned PageGuard (released later in Unfix), an
-// ownership hand-off thread-safety analysis cannot express. The shard-mutex
-// critical sections inside still use MutexGuard, so their exclusion is
-// enforced dynamically by the lock-order validator instead.
+// ownership hand-off thread-safety analysis cannot express. The
+// install-mutex critical section inside still uses MutexGuard, so its
+// exclusion is enforced dynamically by the lock-order validator instead.
 Result<PageGuard> BufferCache::FixPage(PageId pid, LatchMode mode)
     BTRIM_NO_THREAD_SAFETY_ANALYSIS {
   fixes_.Inc();
-  Shard& sh = ShardFor(pid);
-  size_t frame;
-  bool needs_read = false;
   bool counted_miss = false;
-
-  // Eviction write-back happens *outside* the shard mutex: a dirty victim
-  // is pinned under the lock, written back under its shared frame latch
-  // with the shard unlocked (so concurrent fixes of other pages — including
-  // other workers' evictions — proceed during the device write), and the
-  // eviction is then retried. The retry re-checks everything: the victim
-  // may have been re-fixed or re-dirtied meanwhile, or another thread may
-  // have loaded our page. Keeping the victim in the table during write-back
-  // is what makes a concurrent fix of *that* page a plain hit rather than a
-  // stale re-read.
   for (;;) {
-    size_t victim = 0;
-    bool writeback = false;
-    {
-      MutexGuard guard(sh.mu);
-      auto it = sh.table.find(pid.Encode());
-      if (it != sh.table.end()) {
+    // Hit path: two loads and a pin, no lock but the frame latch.
+    if (const std::atomic<uint32_t>* slot =
+            table_.Find(pid.file_id, pid.page_no)) {
+      const uint32_t mapped = slot->load(std::memory_order_acquire);
+      if (mapped != 0 && TryPin(mapped - 1, pid)) {
         if (!counted_miss) hits_.Inc();
-        frame = it->second;
-        FrameMeta& m = meta_[frame];
-        m.pin_count++;
-        if (m.in_lru) {
-          sh.lru.erase(m.lru_pos);
-          sh.lru.push_front(frame);
-          m.lru_pos = sh.lru.begin();
-        }
-        needs_read = false;
-        break;
-      }
-      if (!counted_miss) {
-        misses_.Inc();
-        counted_miss = true;
-      }
-      if (!sh.free_frames.empty()) {
-        frame = sh.free_frames.back();
-        sh.free_frames.pop_back();
-      } else {
-        // Walk from the LRU end; the first unpinned frame wins. A clean
-        // victim is evicted in place; a dirty one is pinned for write-back.
-        bool found = false;
-        for (auto vit = sh.lru.rbegin(); vit != sh.lru.rend(); ++vit) {
-          const size_t f = *vit;
-          FrameMeta& m = meta_[f];
-          if (m.pin_count != 0) continue;
-          if (m.dirty.load(std::memory_order_relaxed)) {
-            m.pin_count++;  // keeps it resident while we write it back
-            victim = f;
-            writeback = true;
-          } else {
-            sh.table.erase(m.pid.Encode());
-            sh.lru.erase(std::next(vit).base());
-            m.in_lru = false;
-            m.valid = false;
-            evictions_.Inc();
-            frame = f;
-          }
-          found = true;
-          break;
-        }
-        if (!found) {
-          fix_failures_.Inc();
-          return Status::Busy("buffer cache: all frames pinned");
-        }
-      }
-      if (!writeback) {
-        FrameMeta& m = meta_[frame];
-        m.pid = pid;
-        m.valid = true;
-        m.dirty.store(false, std::memory_order_relaxed);
-        m.pin_count = 1;
-        // Take the frame's exclusive latch *before* publishing the table
-        // entry, so concurrent fixers of the same page block until the device
-        // read below has filled the frame. The latch is guaranteed free here:
-        // eviction only selects unpinned frames, and guards release the latch
-        // before unpinning.
-        bool latched = m.latch.try_lock();
-        assert(latched);
-        (void)latched;
-        sh.table[pid.Encode()] = frame;
-        sh.lru.push_front(frame);
-        m.lru_pos = sh.lru.begin();
-        m.in_lru = true;
-        needs_read = true;
-        break;
+        return LatchPinned(mapped - 1, pid, mode);
       }
     }
 
-    // Dirty-victim write-back, shard unlocked. Latch shared so a concurrent
-    // writer cannot give us a torn image; clear the dirty flag inside the
-    // latched region (same protocol as FlushAll) so a redirtying since our
-    // write is never swallowed.
-    FrameMeta& vm = meta_[victim];
-    Device* dev = devices_[vm.pid.file_id];
-    assert(dev != nullptr);
-    vm.latch.lock_shared();
-    Status ws = dev->WritePage(vm.pid.page_no,
-                               arena_.get() + victim * kPageSize);
-    if (ws.ok()) vm.dirty.store(false, std::memory_order_relaxed);
-    vm.latch.unlock_shared();
+    size_t frame = 0;
+    bool hit = false;
+    Sweep sweep = Sweep::kAllPinned;
     {
-      MutexGuard guard(sh.mu);
-      assert(vm.pin_count > 0);
-      vm.pin_count--;
+      MutexGuard guard(install_mu_);
+      std::atomic<uint32_t>& slot = table_.At(pid.file_id, pid.page_no);
+      const uint32_t mapped = slot.load(std::memory_order_relaxed);
+      if (mapped != 0) {
+        // Installed since our lookup, or our pin lost to a claim that has
+        // since finished. No claim is open while we hold the mutex, and the
+        // table entry matches its frame, so this pin cannot fail.
+        frame = mapped - 1;
+        hit = TryPin(frame, pid);
+        assert(hit);
+      } else {
+        if (!counted_miss) {
+          misses_.Inc();
+          counted_miss = true;
+        }
+        sweep = SweepLocked(&frame);
+        if (sweep == Sweep::kClaimed) {
+          Frame& fr = frames_[frame];
+          const uint64_t old = fr.pid.load(std::memory_order_relaxed);
+          if (old != kNoPage) {
+            const PageId old_pid = PageId::Decode(old);
+            table_.Find(old_pid.file_id, old_pid.page_no)
+                ->store(0, std::memory_order_relaxed);
+            evictions_.Inc();
+          }
+          // Latch exclusive *before* publishing, so concurrent fixers of
+          // this page block until the device read below has filled the
+          // frame. The latch is free: the claim saw pin 0, and guards
+          // release the latch before unpinning.
+          const bool latched = fr.latch.try_lock();
+          assert(latched);
+          (void)latched;
+          fr.pid.store(pid.Encode(), std::memory_order_relaxed);
+          fr.dirty.store(false, std::memory_order_relaxed);
+          fr.ref.store(true, std::memory_order_relaxed);
+          fr.pin.fetch_sub(kEvicting - 1, std::memory_order_release);
+          slot.store(static_cast<uint32_t>(frame + 1),
+                     std::memory_order_release);
+        }
+      }
     }
-    if (!ws.ok()) {
-      // Keep the victim resident and dirty: its image is still the only
-      // copy of the data, and a later flush retries the write. Surfacing
-      // the device error (instead of pretending the cache is full) is
-      // what lets callers distinguish EIO from pin pressure.
-      write_failures_.Inc();
+
+    if (hit) {
+      if (!counted_miss) hits_.Inc();
+      return LatchPinned(frame, pid, mode);
+    }
+    if (sweep == Sweep::kAllPinned) {
       fix_failures_.Inc();
-      return ws;
+      return Status::Busy("buffer cache: all frames pinned");
     }
-    dirty_writes_.Inc();
-    // Retry: the victim is now clean (unless re-dirtied) and the next pass
-    // evicts it — or whatever the map looks like by then.
-  }
 
-  char* data = arena_.get() + frame * kPageSize;
+    Frame& fr = frames_[frame];
+    char* data = arena_.get() + frame * kPageSize;
+    if (sweep == Sweep::kWriteBack) {
+      // Dirty-victim write-back, mutex released. Latch shared so a
+      // concurrent writer cannot give us a torn image; clear the dirty flag
+      // inside the latched region (same protocol as FlushAll) so a
+      // redirtying since our write is never swallowed.
+      const PageId victim =
+          PageId::Decode(fr.pid.load(std::memory_order_relaxed));
+      Device* dev = devices_[victim.file_id];
+      assert(dev != nullptr);
+      fr.latch.lock_shared();
+      Status ws = dev->WritePage(victim.page_no, data);
+      if (ws.ok()) fr.dirty.store(false, std::memory_order_relaxed);
+      fr.latch.unlock_shared();
+      Unpin(frame);
+      if (!ws.ok()) {
+        // Keep the victim resident and dirty: its image is still the only
+        // copy of the data, and a later flush retries the write. Surfacing
+        // the device error (instead of pretending the cache is full) is
+        // what lets callers distinguish EIO from pin pressure.
+        write_failures_.Inc();
+        fix_failures_.Inc();
+        return ws;
+      }
+      dirty_writes_.Inc();
+      continue;  // the victim is clean now (unless re-dirtied): sweep again
+    }
 
-  if (needs_read) {
-    FrameMeta& m = meta_[frame];
+    // Claimed and published: fill the frame with the mutex released.
     Device* dev = devices_[pid.file_id];
     Status s = dev == nullptr
                    ? Status::InvalidArgument("no device attached for file " +
@@ -238,34 +252,16 @@ Result<PageGuard> BufferCache::FixPage(PageId pid, LatchMode mode)
       // waiters observe a consistent (uninitialized) page rather than a
       // dangling frame; only this caller sees the error.
       memset(data, 0, kPageSize);
-      m.latch.unlock();
-      MutexGuard guard(sh.mu);
-      m.pin_count--;
+      fr.latch.unlock();
+      Unpin(frame);
       return s;
     }
     if (mode == LatchMode::kExclusive) {
       return PageGuard(this, frame, data, pid, mode, false);
     }
-    m.latch.unlock();
-    // Fall through to normal shared acquisition.
+    fr.latch.unlock();
+    return LatchPinned(frame, pid, mode);
   }
-
-  FrameMeta& m = meta_[frame];
-  bool contended = false;
-  if (mode == LatchMode::kExclusive) {
-    if (!m.latch.try_lock()) {
-      contended = true;
-      contention_.Inc();
-      m.latch.lock();
-    }
-  } else {
-    if (!m.latch.try_lock_shared()) {
-      contended = true;
-      contention_.Inc();
-      m.latch.lock_shared();
-    }
-  }
-  return PageGuard(this, frame, data, pid, mode, contended);
 }
 
 // Justified suppression: releases the frame latch acquired by FixPage on
@@ -273,51 +269,52 @@ Result<PageGuard> BufferCache::FixPage(PageId pid, LatchMode mode)
 // analysis cannot see.
 void BufferCache::Unfix(size_t frame, LatchMode mode)
     BTRIM_NO_THREAD_SAFETY_ANALYSIS {
-  FrameMeta& m = meta_[frame];
+  Frame& fr = frames_[frame];
   if (mode == LatchMode::kExclusive) {
-    m.latch.unlock();
+    fr.latch.unlock();
   } else {
-    m.latch.unlock_shared();
+    fr.latch.unlock_shared();
   }
-  MutexGuard guard(shards_[m.home_shard]->mu);
-  assert(m.pin_count > 0);
-  m.pin_count--;
+  Unpin(frame);
 }
 
 void BufferCache::MarkFrameDirty(size_t frame) {
-  meta_[frame].dirty.store(true, std::memory_order_relaxed);
+  frames_[frame].dirty.store(true, std::memory_order_relaxed);
 }
 
 Status BufferCache::FlushAll() {
-  // Pin each dirty frame under its shard mutex, then write it back with the
-  // shard unlocked — the same protocol as FixPage's dirty-victim
-  // write-back. Blocking on a frame latch while holding a shard mutex would
-  // invert the frame-latch -> buffer-map order that latch-coupling fixers
-  // rely on (a guard holder blocked in FixPage on the shard would deadlock
-  // with us); the lock-order validator caught exactly that inversion here.
+  // Pin each dirty frame under the install mutex (where no claim is open,
+  // so the pin cannot fail and a dirty victim mid-sweep is never skipped),
+  // then write it back with the mutex released — the same protocol as
+  // FixPage's dirty-victim write-back. Blocking on a frame latch while
+  // holding the mutex would invert the frame-latch -> buffer-map order that
+  // latch-coupling fixers rely on.
   for (size_t i = 0; i < num_frames_; ++i) {
-    FrameMeta& m = meta_[i];
-    Mutex& mu = shards_[m.home_shard]->mu;
+    Frame& fr = frames_[i];
+    if (!fr.dirty.load(std::memory_order_relaxed)) continue;
+    PageId pid;
     {
-      MutexGuard guard(mu);
-      if (!m.valid || !m.dirty.load(std::memory_order_relaxed)) continue;
-      m.pin_count++;  // keeps the frame resident while we write it back
+      MutexGuard guard(install_mu_);
+      const uint64_t encoded = fr.pid.load(std::memory_order_relaxed);
+      if (encoded == kNoPage || !fr.dirty.load(std::memory_order_relaxed)) {
+        continue;
+      }
+      const bool pinned = PinFrame(i);
+      assert(pinned);
+      (void)pinned;
+      pid = PageId::Decode(encoded);
     }
-    Device* dev = devices_[m.pid.file_id];
+    Device* dev = devices_[pid.file_id];
     assert(dev != nullptr);
     // Latch shared so a concurrent writer cannot give us a torn image. The
     // dirty flag must be cleared inside the latched region: writers set it
     // under the exclusive latch, so clearing it after unlatching could
     // swallow a redirtying that happened since our write.
-    m.latch.lock_shared();
-    Status s = dev->WritePage(m.pid.page_no, arena_.get() + i * kPageSize);
-    if (s.ok()) m.dirty.store(false, std::memory_order_relaxed);
-    m.latch.unlock_shared();
-    {
-      MutexGuard guard(mu);
-      assert(m.pin_count > 0);
-      m.pin_count--;
-    }
+    fr.latch.lock_shared();
+    Status s = dev->WritePage(pid.page_no, arena_.get() + i * kPageSize);
+    if (s.ok()) fr.dirty.store(false, std::memory_order_relaxed);
+    fr.latch.unlock_shared();
+    Unpin(i);
     if (!s.ok()) {
       write_failures_.Inc();
       return s;
@@ -329,21 +326,23 @@ Status BufferCache::FlushAll() {
 
 Status BufferCache::DropAll() {
   BTRIM_RETURN_IF_ERROR(FlushAll());
+  MutexGuard guard(install_mu_);
   for (size_t i = 0; i < num_frames_; ++i) {
-    FrameMeta& m = meta_[i];
-    Shard& sh = *shards_[m.home_shard];
-    MutexGuard guard(sh.mu);
-    if (!m.valid) continue;
-    if (m.pin_count != 0) {
+    Frame& fr = frames_[i];
+    const uint64_t encoded = fr.pid.load(std::memory_order_relaxed);
+    if (encoded == kNoPage) continue;
+    uint32_t expected = 0;
+    if (!fr.pin.compare_exchange_strong(expected, kEvicting,
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
       return Status::Busy("DropAll with pinned pages");
     }
-    sh.table.erase(m.pid.Encode());
-    if (m.in_lru) {
-      sh.lru.erase(m.lru_pos);
-      m.in_lru = false;
-    }
-    m.valid = false;
-    sh.free_frames.push_back(i);
+    const PageId pid = PageId::Decode(encoded);
+    table_.Find(pid.file_id, pid.page_no)->store(0, std::memory_order_relaxed);
+    fr.pid.store(kNoPage, std::memory_order_relaxed);
+    fr.dirty.store(false, std::memory_order_relaxed);
+    fr.ref.store(false, std::memory_order_relaxed);
+    fr.pin.fetch_sub(kEvicting, std::memory_order_release);
   }
   return Status::OK();
 }

@@ -3,13 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/counters.h"
+#include "common/dense_directory.h"
 #include "common/mutex.h"
 #include "common/spinlock.h"
 #include "common/status.h"
@@ -85,15 +84,24 @@ class PageGuard {
 /// seen yields a zeroed image, which callers detect via their page-format
 /// magic and initialize.
 ///
-/// The page map is sharded: frames are partitioned round-robin across
-/// shards at construction, a page id hashes to its home shard, and every
-/// map operation (hit lookup, LRU touch, eviction, pin bookkeeping) takes
-/// only that shard's mutex. Replacement is strict LRU *within* a shard —
-/// with frames spread round-robin and page ids hashed, per-shard LRU is a
-/// faithful sample of global LRU — and dirty victims are written back with
-/// the shard unlocked. A shard whose frames are all pinned reports Busy
-/// even if other shards have room; sizing keeps >= 16 frames per shard so
-/// this matches the single-map behavior in practice.
+/// Hits take no lock besides the frame latch. The page table is a
+/// DenseDirectory of frame numbers indexed by (file_id, page_no) — page
+/// numbers are dense per file — so a hit loads the frame, pins it with one
+/// atomic increment, re-checks that the frame still holds the page (the
+/// frame may have been recycled between the two loads), sets the frame's
+/// CLOCK reference bit and takes the latch. Unfix drops the latch and the
+/// pin.
+///
+/// Misses serialize on one install mutex. A CLOCK sweep skips pinned
+/// frames, gives referenced frames a second chance, and claims a clean
+/// unpinned victim by CASing its pin word from 0 to kEvicting, which makes
+/// every concurrent pin attempt back off until the claim is converted into
+/// the installer's own pin. The new page is published in the table only
+/// after its frame is latched exclusive, so concurrent fixers of that page
+/// wait on the latch until the device read (done with the mutex released)
+/// has filled it. Dirty victims are pinned and written back with the mutex
+/// released, then the sweep retries. Busy means two sweeps found every
+/// frame pinned.
 ///
 /// Per-frame reader-writer latches protect page images. Failed first
 /// attempts at latch acquisition are counted as contention events, both
@@ -131,46 +139,52 @@ class BufferCache {
 
   size_t num_frames() const { return num_frames_; }
 
-  size_t num_shards() const { return shards_.size(); }
-
  private:
   friend class PageGuard;
 
-  // All fields except `dirty` and `latch` are guarded by the owning shard's
-  // mu (home_shard is immutable after construction); a nested struct cannot
-  // spell BTRIM_GUARDED_BY on an outer-class member, so the contract is
-  // documented here and enforced at the access sites.
-  struct FrameMeta {
-    PageId pid{};            // guarded by shard mu
-    bool valid = false;      // guarded by shard mu
+  // Pin-word flag: set while the install path owns the frame (claimed for
+  // eviction or being dropped). Pin attempts that observe it back off.
+  static constexpr uint32_t kEvicting = 1u << 31;
+  // Frame::pid value of a frame that holds no page.
+  static constexpr uint64_t kNoPage = ~uint64_t{0};
+
+  // `pid` changes only while the install path owns the frame (pin word ==
+  // kEvicting), so a pinner that sees its page id there holds that page.
+  struct alignas(kCacheLineSize) Frame {
+    std::atomic<uint32_t> pin{0};  // pin count, | kEvicting while claimed
+    std::atomic<bool> ref{false};  // CLOCK reference bit
     std::atomic<bool> dirty{false};
-    uint32_t pin_count = 0;  // guarded by shard mu
+    std::atomic<uint64_t> pid{kNoPage};  // PageId::Encode() or kNoPage
     RwSpinLock latch{LockRank::kPageFrame, "page.frame"};
-    std::list<size_t>::iterator lru_pos;  // guarded by shard mu
-    bool in_lru = false;                  // guarded by shard mu
-    uint16_t home_shard = 0;              // immutable after construction
   };
 
-  // Shard mutexes share rank kBufferMap; no code path holds two shards at
-  // once (every map operation resolves its single home shard first).
-  struct Shard {
-    mutable Mutex mu{LockRank::kBufferMap, "page.buffer_map"};
-    // PageId.Encode() -> frame
-    std::unordered_map<uint64_t, size_t> table BTRIM_GUARDED_BY(mu);
-    // front = MRU, back = LRU
-    std::list<size_t> lru BTRIM_GUARDED_BY(mu);
-    std::vector<size_t> free_frames BTRIM_GUARDED_BY(mu);
-  };
+  // 4096-entry segments, 4096 of them: 16M pages (128 GiB) per file.
+  using PageTable = DenseDirectory<uint32_t, 12, 4096>;  // frame + 1, 0 = none
 
-  Shard& ShardFor(PageId pid) const;
+  // Pins `frame` if no install owns it and it still holds `pid`.
+  bool TryPin(size_t frame, PageId pid);
+  // Pins `frame` if no install owns it (FlushAll; any page).
+  bool PinFrame(size_t frame);
+  void Unpin(size_t frame);
+  // Latches a pinned frame in `mode`, counting contention.
+  PageGuard LatchPinned(size_t frame, PageId pid, LatchMode mode);
+
+  enum class Sweep { kClaimed, kWriteBack, kAllPinned };
+  // CLOCK sweep: claims a free or clean victim (pin word -> kEvicting) or
+  // pins a dirty one for write-back; `*frame` is set in both cases.
+  Sweep SweepLocked(size_t* frame) BTRIM_REQUIRES(install_mu_);
 
   void Unfix(size_t frame, LatchMode mode);
   void MarkFrameDirty(size_t frame);
 
   const size_t num_frames_;
   std::unique_ptr<char[]> arena_;  // num_frames_ * kPageSize
-  std::vector<FrameMeta> meta_;
-  std::vector<std::unique_ptr<Shard>> shards_;  // size is a power of two
+  std::unique_ptr<Frame[]> frames_;
+  PageTable table_;
+
+  // Serializes the miss path: the sweep, claims, and table updates.
+  Mutex install_mu_{LockRank::kBufferMap, "page.buffer_install"};
+  size_t clock_hand_ BTRIM_GUARDED_BY(install_mu_) = 0;
 
   std::vector<Device*> devices_;  // indexed by file_id
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 #include <vector>
 
 namespace btrim {
@@ -134,62 +135,99 @@ TxnResult RunNewOrder(TpccContext* ctx, TpccRandom* rnd, int w_id) {
       BTRIM_RETURN_IF_ERROR(db->Insert(txn.get(), t.new_orders, b.Finish()));
     }
 
-    for (int line = 1; line <= ol_cnt; ++line) {
-      int i_id = rnd->ItemId(ctx->scale.items);
-      if (rollback && line == ol_cnt) {
-        i_id = ctx->scale.items + 1;  // unused item id -> NotFound
+    // Three passes keep every NewOrder's row locks in one global order, so
+    // concurrent NewOrders cannot wait in a cycle:
+    //  1. draw every line (the random stream is that of a line-at-a-time
+    //     loop), then read the items in i_id order — an item read that
+    //     caches the row in the IMRS upgrades its lock to X until commit,
+    //     so item reads are ordered too; the invalid item of the 1%
+    //     rollback sorts last and returns before any stock lock is taken;
+    //  2. update stock rows sorted by (supply_w, i_id);
+    //  3. insert the order lines with their drawn ol_number.
+    struct Line {
+      int number;
+      int i_id;
+      int supply_w;
+      int qty;
+      double price;
+      std::string dist_info;
+    };
+    std::vector<Line> lines(static_cast<size_t>(ol_cnt));
+    for (int number = 1; number <= ol_cnt; ++number) {
+      Line& l = lines[static_cast<size_t>(number - 1)];
+      l.number = number;
+      l.i_id = rnd->ItemId(ctx->scale.items);
+      if (rollback && number == ol_cnt) {
+        l.i_id = ctx->scale.items + 1;  // unused item id -> NotFound
+        break;  // the line-at-a-time loop drew nothing after this item
       }
+      l.qty = static_cast<int>(rnd->Uniform(1, 10));
+
+      // Remote warehouse 1% (when the scale has more than one warehouse).
+      l.supply_w = w_id;
+      if (ctx->scale.warehouses > 1 && rnd->Percent(1)) {
+        do {
+          l.supply_w =
+              static_cast<int>(rnd->Uniform(1, ctx->scale.warehouses));
+        } while (l.supply_w == w_id && ctx->scale.warehouses > 1);
+      }
+    }
+
+    std::vector<Line*> order;
+    order.reserve(lines.size());
+    for (Line& l : lines) order.push_back(&l);
+    std::sort(order.begin(), order.end(), [](const Line* a, const Line* b) {
+      return std::tie(a->i_id, a->number) < std::tie(b->i_id, b->number);
+    });
+    for (Line* l : order) {
       std::string irow;
       Status s = db->SelectByKey(txn.get(), t.item,
-                                 t.item->pk_encoder().KeyForInts({i_id}),
+                                 t.item->pk_encoder().KeyForInts({l->i_id}),
                                  &irow);
       if (s.IsNotFound()) return s;  // triggers the user rollback path
       BTRIM_RETURN_IF_ERROR(s);
       RecordView iv(&t.item->schema(), Slice(irow));
-      const double price = iv.GetDouble(item::kPrice);
-      const int qty = static_cast<int>(rnd->Uniform(1, 10));
+      l->price = iv.GetDouble(item::kPrice);
+    }
 
-      // Remote warehouse 1% (when the scale has more than one warehouse).
-      int supply_w = w_id;
-      if (ctx->scale.warehouses > 1 && rnd->Percent(1)) {
-        do {
-          supply_w =
-              static_cast<int>(rnd->Uniform(1, ctx->scale.warehouses));
-        } while (supply_w == w_id && ctx->scale.warehouses > 1);
-      }
-
-      std::string dist_info;
+    std::sort(order.begin(), order.end(), [](const Line* a, const Line* b) {
+      return std::tie(a->supply_w, a->i_id, a->number) <
+             std::tie(b->supply_w, b->i_id, b->number);
+    });
+    for (Line* l : order) {
       BTRIM_RETURN_IF_ERROR(db->Update(
           txn.get(), t.stock,
-          t.stock->pk_encoder().KeyForInts({supply_w, i_id}),
+          t.stock->pk_encoder().KeyForInts({l->supply_w, l->i_id}),
           [&](std::string* payload) {
             RecordEditor e(&t.stock->schema(), Slice(*payload));
             int64_t q = e.GetInt(stk::kQuantity);
-            q = q >= qty + 10 ? q - qty : q - qty + 91;
+            q = q >= l->qty + 10 ? q - l->qty : q - l->qty + 91;
             e.SetInt32(stk::kQuantity, static_cast<int32_t>(q));
             e.SetInt32(stk::kYtd,
-                       static_cast<int32_t>(e.GetInt(stk::kYtd) + qty));
+                       static_cast<int32_t>(e.GetInt(stk::kYtd) + l->qty));
             e.SetInt32(stk::kOrderCnt,
                        static_cast<int32_t>(e.GetInt(stk::kOrderCnt) + 1));
-            if (supply_w != w_id) {
+            if (l->supply_w != w_id) {
               e.SetInt32(stk::kRemoteCnt, static_cast<int32_t>(
                                               e.GetInt(stk::kRemoteCnt) + 1));
             }
-            dist_info = e.GetString(stk::kDist);
+            l->dist_info = e.GetString(stk::kDist);
             *payload = e.Encode();
           }));
+    }
 
+    for (const Line& l : lines) {
       RecordBuilder lb(&t.order_line->schema());
       lb.AddInt32(w_id)
           .AddInt32(d_id)
           .AddInt32(o_id)
-          .AddInt32(line)
-          .AddInt32(i_id)
-          .AddInt32(supply_w)
+          .AddInt32(l.number)
+          .AddInt32(l.i_id)
+          .AddInt32(l.supply_w)
           .AddInt64(0)
-          .AddInt32(qty)
-          .AddDouble(qty * price)
-          .AddString(Slice(dist_info));
+          .AddInt32(l.qty)
+          .AddDouble(l.qty * l.price)
+          .AddString(Slice(l.dist_info));
       BTRIM_RETURN_IF_ERROR(db->Insert(txn.get(), t.order_line, lb.Finish()));
     }
     return Status::OK();

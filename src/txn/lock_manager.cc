@@ -154,14 +154,21 @@ Status LockManager::Acquire(uint64_t txn_id, uint64_t lock_id, LockMode mode,
   }
   // Slow path; we hold a transient slow_users pin on `entry`.
   MutexGuard lock(stripe.mu);
+  // Count ourselves a waiter *before* the first fast_word read: a fast-path
+  // release stores fast_word = 0 and then reads `waiters`, so (seq_cst on
+  // both sides) either it sees us and notifies under `mu` — which it cannot
+  // take until we are waiting — or our read below sees its release.
+  // Counting only after a failed grant let a release slip between the two
+  // and strand this waiter until its timeout.
+  stripe.waiters.fetch_add(1, std::memory_order_seq_cst);
   bool added = false;
   if (TryGrantSlowLocked(entry, txn_id, mode, /*register_upgrade=*/true,
                          &added)) {
+    stripe.waiters.fetch_sub(1, std::memory_order_seq_cst);
     if (!added) entry->slow_users.fetch_sub(1, std::memory_order_seq_cst);
     return Status::OK();
   }
   waits_.Inc();
-  stripe.waiters.fetch_add(1, std::memory_order_seq_cst);
   const auto start = std::chrono::steady_clock::now();
   const auto deadline = start + std::chrono::milliseconds(timeout_ms);
   Status result;

@@ -1,6 +1,10 @@
 // Unit tests for the In-Memory Row Store: versioned rows, the RID-map,
 // snapshot visibility, and garbage collection.
 
+#include <atomic>
+#include <memory>
+#include <random>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -174,8 +178,8 @@ TEST(RidMapTest, InsertLookupErase) {
   EXPECT_EQ(map.Lookup(kRid), nullptr);
 }
 
-TEST(RidMapTest, ManyEntriesAcrossStripes) {
-  RidMap map(16);
+TEST(RidMapTest, ManyEntriesAcrossSegments) {
+  RidMap map;
   std::vector<ImrsRow> rows(1000);
   for (uint32_t i = 0; i < 1000; ++i) {
     map.Insert(Rid{1, i, 0}, &rows[i]);
@@ -187,6 +191,66 @@ TEST(RidMapTest, ManyEntriesAcrossStripes) {
   int seen = 0;
   map.ForEach([&](Rid, ImrsRow*) { ++seen; });
   EXPECT_EQ(seen, 1000);
+}
+
+// Four threads insert, look up and erase RIDs that span many directory
+// segments of a declared file (50 slots per page) and an undeclared one
+// (widest layout). Lookups of other threads' rows may miss but never return
+// a foreign row; afterwards Size and ForEach agree with what survived.
+TEST(RidMapTest, ConcurrentInsertEraseLookupAcrossSegments) {
+  constexpr int kThreads = 4;
+  constexpr uint32_t kRowsPerThread = 6000;
+  constexpr uint16_t kSlots = 50;
+  RidMap map;
+  map.SetSlotsPerPage(1, kSlots);
+  // Row n of thread t, file f: a dense heap row for file 1, and a sparse
+  // (page, slot) spread for the undeclared file 2.
+  auto rid_of = [&](int t, uint32_t n, uint16_t file) {
+    const uint32_t row = static_cast<uint32_t>(t) * kRowsPerThread + n;
+    return file == 1 ? Rid{1, row / kSlots, static_cast<uint16_t>(row % kSlots)}
+                     : Rid{2, row / 7, static_cast<uint16_t>(row % 7 * 3)};
+  };
+  std::vector<std::unique_ptr<ImrsRow[]>> rows;
+  for (int t = 0; t < kThreads; ++t) {
+    rows.push_back(std::make_unique<ImrsRow[]>(2 * kRowsPerThread));
+    for (uint32_t n = 0; n < kRowsPerThread; ++n) {
+      rows[t][2 * n].rid = rid_of(t, n, 1);
+      rows[t][2 * n + 1].rid = rid_of(t, n, 2);
+    }
+  }
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rnd(static_cast<unsigned>(t));
+      for (uint32_t i = 0; i < 2 * kRowsPerThread; ++i) {
+        map.Insert(rows[t][i].rid, &rows[t][i]);
+        const int ot = static_cast<int>(rnd() % kThreads);
+        const uint32_t oi = rnd() % (2 * kRowsPerThread);
+        ImrsRow* seen = map.Lookup(rows[ot][oi].rid);
+        if (seen != nullptr && seen != &rows[ot][oi]) errors.fetch_add(1);
+        if (map.Lookup(rows[t][i].rid) != &rows[t][i]) errors.fetch_add(1);
+      }
+      // Erase every third row; erasing twice reports absence.
+      for (uint32_t i = 0; i < 2 * kRowsPerThread; i += 3) {
+        if (!map.Erase(rows[t][i].rid)) errors.fetch_add(1);
+        if (map.Erase(rows[t][i].rid)) errors.fetch_add(1);
+        if (map.Lookup(rows[t][i].rid) != nullptr) errors.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(errors.load(), 0);
+
+  const int64_t erased_per_thread = (2 * kRowsPerThread + 2) / 3;
+  const int64_t live = kThreads * (2 * kRowsPerThread - erased_per_thread);
+  EXPECT_EQ(map.Size(), live);
+  int64_t visited = 0;
+  map.ForEach([&](Rid rid, ImrsRow* row) {
+    ++visited;
+    EXPECT_EQ(row->rid, rid);
+  });
+  EXPECT_EQ(visited, live);
 }
 
 // --- GC ----------------------------------------------------------------------------

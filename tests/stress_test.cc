@@ -99,7 +99,7 @@ TEST(ComponentStressTest, RwSpinLockReadersSeeConsistentPairs) {
 
 TEST(ComponentStressTest, RidMapConcurrentInsertLookupErase) {
   constexpr int64_t kRowsPerThread = 4000;
-  RidMap map(64);
+  RidMap map;
   // Each thread owns a disjoint RID range (distinct file ids) and a private
   // row arena; all threads additionally read each other's ranges. ImrsRow
   // holds atomics and is neither copyable nor movable, hence the raw arrays.

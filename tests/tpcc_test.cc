@@ -1,7 +1,11 @@
 // TPC-C substrate tests: generator conformance, transaction correctness,
 // and database-consistency invariants after a driven run.
 
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -25,12 +29,12 @@ Scale TinyScale() {
 
 class TpccTest : public ::testing::Test {
  protected:
-  void Open(bool ilm_enabled = true) {
+  void Open(bool ilm_enabled = true, int64_t lock_timeout_ms = 200) {
     DatabaseOptions options;
     options.buffer_cache_frames = 2048;
     options.imrs_cache_bytes = 64 << 20;
     options.ilm.ilm_enabled = ilm_enabled;
-    options.lock_timeout_ms = 200;
+    options.lock_timeout_ms = lock_timeout_ms;
     Result<std::unique_ptr<Database>> opened = Database::Open(options);
     ASSERT_TRUE(opened.ok());
     db_ = std::move(*opened);
@@ -456,6 +460,32 @@ TEST_F(TpccTest, DriverReportsCommitLatencies) {
   EXPECT_GE(stats.latency_p95_us, stats.latency_p50_us);
   EXPECT_GE(stats.latency_p99_us, stats.latency_p95_us);
   EXPECT_GT(stats.latency_mean_us, 0.0);
+}
+
+// NewOrder takes its item and stock locks in key order, so terminals sharing
+// a warehouse — and, at this scale's 100 items, sharing stock rows
+// constantly — never wait in a cycle, and the lock manager never strands a
+// waiter past a release: no lock wait may end in a timeout.
+TEST_F(TpccTest, ConcurrentNewOrdersOnOneWarehouseNeverTimeOut) {
+  Open(/*ilm_enabled=*/true, DatabaseOptions().lock_timeout_ms);
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> committed{0};
+  std::vector<std::thread> terminals;
+  for (int t = 0; t < 4; ++t) {
+    terminals.emplace_back([&, t] {
+      TpccRandom rnd(100 + t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (RunNewOrder(&ctx_, &rnd, 1).committed) {
+          committed.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  stop.store(true);
+  for (std::thread& t : terminals) t.join();
+  EXPECT_GT(committed.load(), 0);
+  EXPECT_EQ(db_->metrics_registry()->Sum("locks.timeouts"), 0);
 }
 
 TEST_F(TpccTest, DeterministicSeedsGiveDeterministicTransactions) {

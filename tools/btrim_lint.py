@@ -64,11 +64,12 @@ RAW_NEW_ALLOWLIST = {
     # The lock-order validator must outlive every static-destruction-order
     # lock use, so its process singletons are intentionally leaked.
     "src/common/lock_order.cc": "leaked singleton",
-    # The B+Tree's per-page version cells live in a CAS-published chunk
-    # table: losers of the publication race delete their chunk, the owner
-    # deletes the winners in its destructor. No unique_ptr fits an atomic
+    # DenseArray / DenseDirectory (the B+Tree version table, the buffer
+    # cache's page table, the RID map) are CAS-published chunk tables:
+    # losers of the publication race delete their chunk, the owner deletes
+    # the winners in its destructor. No unique_ptr fits an atomic
     # publication slot.
-    "src/index/btree.cc": "lock-free chunk table",
+    "src/common/dense_directory.h": "lock-free chunk table",
     # The epoch manager is a leaked process singleton (it must outlive
     # every thread's exit hook) and its per-thread records join a lock-free
     # list forever — freeing one would race MinActive scans.

@@ -32,7 +32,9 @@ absolute throughput depends on the runner, so the gate checks *shape*:
      simulated-latency-bound like pack), so these ratios only exist where
      the hardware can express them: the floors scale with the hw_threads
      field the bench records (>= 4 hw threads -> full floors; 2-3 ->
-     1.4x reads only; 1 -> liveness and shape checks only). The
+     1.4x reads only; 1 -> liveness and shape checks only; every floor
+     relaxed or skipped this way prints UNVERIFIED and is listed in the
+     summary, never reported as a pass). The
      single-threaded insert cell's splits-per-insert — deterministic by
      construction — must also stay within threshold of the checked-in
      bench/BENCH_micro_index.json.
@@ -63,6 +65,18 @@ import sys
 # list fails the drift lint — new metrics must be recorded in the manifest.
 MANIFEST_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "required_metrics.json")
+
+
+# Gates whose full floor this run's hardware could not exercise. Each is
+# reported as UNVERIFIED (never as a pass) and listed again in the summary;
+# a relaxed floor that is still enforced keeps failing the run as before.
+UNVERIFIED = []
+
+
+def unverified(gate, need, hw):
+    line = f"{gate} needs >= {need} hw threads, run had {hw}"
+    UNVERIFIED.append(line)
+    print(f"UNVERIFIED: {line}")
 
 
 def load_manifest(errors):
@@ -239,19 +253,28 @@ def check_index(current, baseline, threshold, errors):
                 f"micro_index: point-read throughput at 8 threads is only "
                 f"{ratio:.2f}x 1-thread (floor {floor:.1f}x on "
                 f"{hw} hw threads)")
-        print(f"micro_index: point-read 8t/1t = {ratio:.2f}x "
-              f"(floor {floor:.1f}x on {hw} hw threads)")
+        if hw >= 4:
+            print(f"micro_index: point-read 8t/1t = {ratio:.2f}x "
+                  f"(floor {floor:.1f}x on {hw} hw threads)")
+        else:
+            print(f"micro_index: point-read 8t/1t = {ratio:.2f}x")
+            unverified("micro_index point-read scaling "
+                       f"(floor {INDEX_READ_SCALING_FLOOR:.1f}x)", 4, hw)
 
     # Gate 3: the TPC-C floor — eight terminals must not run slower than
     # one through the full engine (locks, WAL, index) on real parallelism.
     t1 = cur.get(("tpcc", 1))
     t8 = cur.get(("tpcc", 8))
-    if t1 is not None and t8 is not None and t1["tps"] > 0 and hw >= 4:
-        ratio = t8["tps"] / t1["tps"]
-        if ratio < TPCC_SCALING_FLOOR:
-            errors.append(
-                f"micro_index: TPC-C at 8 workers is {ratio:.2f}x 1-worker "
-                f"(floor {TPCC_SCALING_FLOOR:.1f}x)")
+    if t1 is not None and t8 is not None and t1["tps"] > 0:
+        if hw < 4:
+            unverified("micro_index TPC-C scaling "
+                       f"(floor {TPCC_SCALING_FLOOR:.1f}x)", 4, hw)
+        else:
+            ratio = t8["tps"] / t1["tps"]
+            if ratio < TPCC_SCALING_FLOOR:
+                errors.append(
+                    f"micro_index: TPC-C at 8 workers is {ratio:.2f}x "
+                    f"1-worker (floor {TPCC_SCALING_FLOOR:.1f}x)")
 
     # Gate 4: single-threaded splits-per-insert vs the checked-in baseline.
     # The 1-thread insert cell is deterministic (same keys, same order), so
@@ -335,8 +358,13 @@ def check_recovery(current, baseline, errors):
             errors.append(
                 f"micro_recovery: 4-worker replay is only {ratio:.2f}x "
                 f"serial (floor {floor:.1f}x on {hw} hw threads)")
-        print(f"micro_recovery: replay 4w speedup = {ratio:.2f}x "
-              f"(floor {floor:.1f}x on {hw} hw threads)")
+        if hw >= 4:
+            print(f"micro_recovery: replay 4w speedup = {ratio:.2f}x "
+                  f"(floor {floor:.1f}x on {hw} hw threads)")
+        else:
+            print(f"micro_recovery: replay 4w speedup = {ratio:.2f}x")
+            unverified("micro_recovery replay scaling "
+                       f"(floor {RECOVERY_SCALING_FLOOR:.1f}x)", 4, hw)
 
     # The baseline is a schema anchor only (absolute times and row counts
     # are machine- and run-specific): its presence must match this format.
@@ -405,9 +433,12 @@ def check_htap(current, baseline, threshold, errors):
             f"micro_htap: OLTP under concurrent scans kept only "
             f"{dip:.0%} of alone throughput (floor {floor:.0%} on "
             f"{hw} hw threads)")
-    else:
+    elif hw >= 4:
         print(f"micro_htap: OLTP kept {dip:.0%} under scans "
               f"(floor {floor:.0%} on {hw} hw threads)")
+    else:
+        print(f"micro_htap: OLTP kept {dip:.0%} under scans")
+        unverified(f"micro_htap OLTP dip (floor {HTAP_DIP_FLOOR:.0%})", 4, hw)
 
 
 # Gates over micro_server --out JSON. The floors are deliberately
@@ -622,11 +653,19 @@ def main():
         with open(args.metrics) as f:
             check_metrics_coverage(json.load(f), errors)
 
+    if UNVERIFIED:
+        print(f"UNVERIFIED ({len(UNVERIFIED)} gate(s) not exercised by this "
+              f"hardware; not counted as passed):")
+        for line in UNVERIFIED:
+            print(f"  - {line}")
     if errors:
         for e in errors:
             print(f"REGRESSION: {e}", file=sys.stderr)
         return 1
-    print("perf gate: OK")
+    if UNVERIFIED:
+        print("perf gate: OK for the gates this hardware exercised")
+    else:
+        print("perf gate: OK")
     return 0
 
 
