@@ -3,6 +3,7 @@
 // randomized multi-threaded operation streams checked against a reference
 // model, and end-to-end ILM behaviour.
 
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -333,10 +334,20 @@ TEST_F(IntegrationTest, MoneyConservationUnderPackChurn) {
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
   std::atomic<int64_t> committed{0};
+  // Each thread runs at least 400 transfers, and keeps going until Pack has
+  // relocated rows under them (bounded by a deadline): on a fast engine 400
+  // transfers can finish before the first background pack cycle, and then
+  // nothing would have churned.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto churned = [&] {
+    return db_->metrics_registry()->Sum("pack.rows_packed") > 0 ||
+           std::chrono::steady_clock::now() > deadline;
+  };
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       Random rng(777 + static_cast<uint64_t>(t));
-      for (int op = 0; op < 400; ++op) {
+      for (int op = 0; op < 400 || !churned(); ++op) {
         const int64_t from = static_cast<int64_t>(rng.Uniform(kAccounts));
         int64_t to = static_cast<int64_t>(rng.Uniform(kAccounts));
         if (to == from) to = (to + 1) % kAccounts;
