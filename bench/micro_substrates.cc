@@ -172,6 +172,23 @@ void BM_LockAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_LockAcquireRelease)->Threads(1)->Threads(4);
 
+void BM_LockFreshIds(benchmark::State& state) {
+  static LockManager* lm = new LockManager();
+  const uint64_t txn =
+      static_cast<uint64_t>(state.thread_index()) + 1;
+  // Every iteration locks an id no one has locked before, as a TPC-C
+  // insert does for each new row: the lock table must create an entry for
+  // it and later sweep that entry away.
+  uint64_t next_id = txn << 40;
+  for (auto _ : state) {
+    const uint64_t lock_id = next_id++;
+    Status s = lm->Acquire(txn, lock_id, LockMode::kExclusive, 10);
+    benchmark::DoNotOptimize(s);
+    lm->Release(txn, lock_id);
+  }
+}
+BENCHMARK(BM_LockFreshIds)->Threads(1)->Threads(4);
+
 }  // namespace
 }  // namespace btrim
 

@@ -8,18 +8,18 @@ namespace btrim {
 
 Status Transaction::AcquireLock(uint64_t lock_id, LockMode mode,
                                 int64_t timeout_ms) {
-  LockManager* lm = mgr_->lock_manager();
-  const bool held_before = lm->Holds(id_, lock_id, LockMode::kShared);
-  BTRIM_RETURN_IF_ERROR(lm->Acquire(id_, lock_id, mode, timeout_ms));
-  if (!held_before) held_locks_.push_back(lock_id);
+  bool newly_held = false;
+  BTRIM_RETURN_IF_ERROR(mgr_->lock_manager()->Acquire(id_, lock_id, mode,
+                                                      timeout_ms, &newly_held));
+  if (newly_held) held_locks_.push_back(lock_id);
   return Status::OK();
 }
 
 Status Transaction::TryAcquireLock(uint64_t lock_id, LockMode mode) {
-  LockManager* lm = mgr_->lock_manager();
-  const bool held_before = lm->Holds(id_, lock_id, LockMode::kShared);
-  BTRIM_RETURN_IF_ERROR(lm->TryAcquire(id_, lock_id, mode));
-  if (!held_before) held_locks_.push_back(lock_id);
+  bool newly_held = false;
+  BTRIM_RETURN_IF_ERROR(
+      mgr_->lock_manager()->TryAcquire(id_, lock_id, mode, &newly_held));
+  if (newly_held) held_locks_.push_back(lock_id);
   return Status::OK();
 }
 

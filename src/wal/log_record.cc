@@ -7,10 +7,10 @@ namespace btrim {
 
 namespace {
 
-void PutLengthPrefixed(std::string* dst, const std::string& s) {
-  PutFixed32(dst, static_cast<uint32_t>(s.size()));
-  dst->append(s);
-}
+// Frame header: [u32 body_len][u32 checksum].
+constexpr size_t kHeaderBytes = 8;
+// Fixed body prefix: type(1) txn(8) table(4) part(4) rid(8) cts(8) source(1).
+constexpr size_t kFixedBodyBytes = 34;
 
 bool GetLengthPrefixed(Slice* input, std::string* out) {
   if (input->size() < 4) return false;
@@ -25,20 +25,34 @@ bool GetLengthPrefixed(Slice* input, std::string* out) {
 }  // namespace
 
 void AppendLogRecord(std::string* dst, const LogRecord& rec) {
-  std::string body;
-  body.push_back(static_cast<char>(rec.type));
-  PutFixed64(&body, rec.txn_id);
-  PutFixed32(&body, rec.table_id);
-  PutFixed32(&body, rec.partition_id);
-  PutFixed64(&body, rec.rid);
-  PutFixed64(&body, rec.cts);
-  body.push_back(static_cast<char>(rec.source));
-  PutLengthPrefixed(&body, rec.before);
-  PutLengthPrefixed(&body, rec.after);
+  const size_t body_len =
+      kFixedBodyBytes + 4 + rec.before.size() + 4 + rec.after.size();
+  const size_t start = dst->size();
+  dst->reserve(start + kHeaderBytes + body_len);
 
-  PutFixed32(dst, static_cast<uint32_t>(body.size()));
-  PutFixed32(dst, static_cast<uint32_t>(HashBytes(body.data(), body.size())));
-  dst->append(body);
+  // Header, fixed prefix and the before-image length in one append; the
+  // checksum is patched in once the whole body is in place.
+  char head[kHeaderBytes + kFixedBodyBytes + 4];
+  char* p = head;
+  EncodeFixed32(p, static_cast<uint32_t>(body_len));
+  EncodeFixed32(p + 4, 0);
+  p += kHeaderBytes;
+  *p++ = static_cast<char>(rec.type);
+  EncodeFixed64(p, rec.txn_id);
+  EncodeFixed32(p + 8, rec.table_id);
+  EncodeFixed32(p + 12, rec.partition_id);
+  EncodeFixed64(p + 16, rec.rid);
+  EncodeFixed64(p + 24, rec.cts);
+  p[32] = static_cast<char>(rec.source);
+  EncodeFixed32(p + 33, static_cast<uint32_t>(rec.before.size()));
+  dst->append(head, sizeof(head));
+  dst->append(rec.before);
+  PutFixed32(dst, static_cast<uint32_t>(rec.after.size()));
+  dst->append(rec.after);
+
+  char* frame = dst->data() + start;
+  EncodeFixed32(frame + 4, static_cast<uint32_t>(
+                               HashBytes(frame + kHeaderBytes, body_len)));
 }
 
 Status ParseLogRecord(Slice* input, LogRecord* rec) {
@@ -54,8 +68,9 @@ Status ParseLogRecord(Slice* input, LogRecord* rec) {
   }
   input->remove_prefix(8 + body_len);
 
-  // Fixed prefix: type(1) txn(8) table(4) part(4) rid(8) cts(8) source(1).
-  if (body.size() < 34) return Status::Corruption("log record too short");
+  if (body.size() < kFixedBodyBytes) {
+    return Status::Corruption("log record too short");
+  }
   rec->type = static_cast<LogRecordType>(body[0]);
   body.remove_prefix(1);
   rec->txn_id = DecodeFixed64(body.data());

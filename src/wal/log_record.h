@@ -73,7 +73,9 @@ struct LogRecord {
 
 /// Appends the framed serialization of `rec` to `dst`. Framing is
 /// [u32 body_len][u32 fnv_checksum][body]; a torn tail is detected by
-/// length or checksum mismatch and treated as end-of-log.
+/// length or checksum mismatch and treated as end-of-log. The frame is
+/// sized once and encoded straight into `dst` (no temporary body), with the
+/// checksum patched in last; `dst` grows by at most one reallocation.
 void AppendLogRecord(std::string* dst, const LogRecord& rec);
 
 /// Parses one framed record from the front of `input`, consuming it.

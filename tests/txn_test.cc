@@ -1,11 +1,14 @@
 // Unit tests for the lock manager and transaction manager.
 
+#include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics_registry.h"
+#include "testing/alloc_counter.h"
 #include "txn/lock_manager.h"
 #include "txn/transaction.h"
 
@@ -138,6 +141,89 @@ TEST_F(LockManagerTest, FastPathGrantsAreCounted) {
   ASSERT_TRUE(lm_.TryAcquire(2, 100, LockMode::kExclusive).ok());
   lm_.Release(2, 100);
   EXPECT_GE(metrics_.Sum("locks.fast_grants"), 2);
+}
+
+TEST_F(LockManagerTest, ReportsNewlyHeldOnlyForTheFirstGrant) {
+  bool newly = false;
+  // Fast exclusive grant, then re-entrant exclusive and shared re-acquires.
+  ASSERT_TRUE(lm_.Acquire(1, 40, LockMode::kExclusive, 10, &newly).ok());
+  EXPECT_TRUE(newly);
+  ASSERT_TRUE(lm_.Acquire(1, 40, LockMode::kExclusive, 10, &newly).ok());
+  EXPECT_FALSE(newly);
+  ASSERT_TRUE(lm_.TryAcquire(1, 40, LockMode::kShared, &newly).ok());
+  EXPECT_FALSE(newly);
+  lm_.Release(1, 40);
+
+  // Slow shared grant, re-entrant shared, then upgrade as sole holder.
+  ASSERT_TRUE(lm_.Acquire(1, 41, LockMode::kShared, 10, &newly).ok());
+  EXPECT_TRUE(newly);
+  ASSERT_TRUE(lm_.Acquire(1, 41, LockMode::kShared, 10, &newly).ok());
+  EXPECT_FALSE(newly);
+  ASSERT_TRUE(lm_.TryAcquire(1, 41, LockMode::kExclusive, &newly).ok());
+  EXPECT_FALSE(newly);
+  // A second reader alongside a first is newly held for the second.
+  lm_.Release(1, 41);
+  ASSERT_TRUE(lm_.Acquire(1, 41, LockMode::kShared, 10, &newly).ok());
+  ASSERT_TRUE(lm_.TryAcquire(2, 41, LockMode::kShared, &newly).ok());
+  EXPECT_TRUE(newly);
+  lm_.Release(1, 41);
+  lm_.Release(2, 41);
+  EXPECT_FALSE(lm_.Holds(1, 41, LockMode::kShared));
+  EXPECT_FALSE(lm_.Holds(2, 41, LockMode::kShared));
+}
+
+TEST_F(LockManagerTest, RecycledEntriesCarryNoStaleState) {
+  // One stripe, so every id below shares one table and one free list.
+  LockManager lm(1);
+  obs::MetricsRegistry metrics;
+  ASSERT_TRUE(lm.RegisterMetrics(&metrics, "txn").ok());
+  // Give each of 100 ids two shared holders and a withdrawn upgrade claim,
+  // then release it; the table sweeps idle entries onto its free list as
+  // it passes the watermark.
+  for (uint64_t id = 1; id <= 100; ++id) {
+    ASSERT_TRUE(lm.Acquire(1, id, LockMode::kShared, 10).ok());
+    ASSERT_TRUE(lm.Acquire(2, id, LockMode::kShared, 10).ok());
+    EXPECT_TRUE(lm.Acquire(2, id, LockMode::kExclusive, 1).IsAborted());
+    lm.Release(1, id);
+    lm.Release(2, id);
+  }
+  const int64_t pooled = metrics.Sum("locks.entries");
+  EXPECT_GT(pooled, 0);
+  EXPECT_LT(pooled, 100);  // swept entries were reused, not leaked
+  // Fresh ids reuse those entries. A stale upgrade claim would refuse the
+  // second reader; a stale holder would refuse the exclusive request.
+  for (uint64_t id = 1001; id <= 1100; ++id) {
+    ASSERT_TRUE(lm.TryAcquire(3, id, LockMode::kShared).ok()) << id;
+    ASSERT_TRUE(lm.TryAcquire(4, id, LockMode::kShared).ok()) << id;
+    EXPECT_TRUE(lm.TryAcquire(5, id, LockMode::kExclusive).IsBusy()) << id;
+    lm.Release(3, id);
+    lm.Release(4, id);
+    ASSERT_TRUE(lm.TryAcquire(5, id, LockMode::kExclusive).ok()) << id;
+    lm.Release(5, id);
+  }
+  EXPECT_EQ(metrics.Sum("locks.entries"), pooled);
+}
+
+TEST_F(LockManagerTest, WarmPoolLocksFreshIdsWithoutAllocating) {
+  // TPC-C locks a fresh id for every inserted row. Once the pool has
+  // grown to the live high-water mark, creating and sweeping entries for
+  // fresh ids must not touch the heap, on either grant path.
+  LockManager lm(1);
+  uint64_t id = 1;
+  for (; id <= 1000; ++id) {  // passes the sweep watermark many times
+    ASSERT_TRUE(lm.Acquire(1, id, LockMode::kShared, 10).ok());
+    lm.Release(1, id);
+  }
+  const int64_t before = testing::HeapAllocations();
+  for (; id <= 5000; ++id) {
+    const LockMode mode =
+        id % 2 == 0 ? LockMode::kExclusive : LockMode::kShared;
+    bool newly = false;
+    ASSERT_TRUE(lm.Acquire(1, id, mode, 10, &newly).ok());
+    EXPECT_TRUE(newly);
+    lm.Release(1, id);
+  }
+  EXPECT_EQ(testing::HeapAllocations(), before);
 }
 
 TEST_F(LockManagerTest, DistinctLocksDontInterfere) {
@@ -278,6 +364,55 @@ TEST_F(TransactionManagerTest, LocksReleasedAtCommitAndAbort) {
   ASSERT_TRUE(tm_.Abort(t2.get()).ok());
   EXPECT_TRUE(lm_.TryAcquire(9999, 56, LockMode::kShared).ok());
   lm_.Release(9999, 56);
+}
+
+TEST_F(TransactionManagerTest, EveryGrantRouteIsReleasedAtCommit) {
+  // A transaction releases only the locks the lock manager reported newly
+  // held; a grant route that misreports would leak its lock past commit.
+  const auto commit_then_free = [&](uint64_t lock_id,
+                                    const std::function<void(Transaction*)>&
+                                        acquire) {
+    auto txn = tm_.Begin();
+    acquire(txn.get());
+    EXPECT_TRUE(lm_.TryAcquire(9999, lock_id, LockMode::kExclusive).IsBusy())
+        << lock_id;
+    ASSERT_TRUE(tm_.Commit(txn.get()).ok());
+    EXPECT_TRUE(lm_.TryAcquire(9999, lock_id, LockMode::kExclusive).ok())
+        << lock_id;
+    lm_.Release(9999, lock_id);
+  };
+  commit_then_free(60, [](Transaction* t) {  // fast exclusive
+    ASSERT_TRUE(t->AcquireLock(60, LockMode::kExclusive, 10).ok());
+  });
+  commit_then_free(61, [](Transaction* t) {  // slow shared
+    ASSERT_TRUE(t->AcquireLock(61, LockMode::kShared, 10).ok());
+  });
+  commit_then_free(62, [](Transaction* t) {  // shared -> exclusive upgrade
+    ASSERT_TRUE(t->AcquireLock(62, LockMode::kShared, 10).ok());
+    ASSERT_TRUE(t->AcquireLock(62, LockMode::kExclusive, 10).ok());
+  });
+  commit_then_free(63, [&](Transaction* t) {  // exclusive after a wait
+    ASSERT_TRUE(lm_.Acquire(8888, 63, LockMode::kExclusive, 10).ok());
+    obs::MetricsRegistry lock_metrics;
+    ASSERT_TRUE(lm_.RegisterMetrics(&lock_metrics, "txn").ok());
+    const int64_t waits_before = lock_metrics.Sum("locks.waits");
+    std::thread waiter([&] {
+      EXPECT_TRUE(t->AcquireLock(63, LockMode::kExclusive, 5000).ok());
+    });
+    while (lock_metrics.Sum("locks.waits") == waits_before) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    lm_.Release(8888, 63);
+    waiter.join();
+  });
+  commit_then_free(64, [](Transaction* t) {  // conditional
+    ASSERT_TRUE(t->TryAcquireLock(64, LockMode::kExclusive).ok());
+  });
+  commit_then_free(65, [](Transaction* t) {  // re-entrant re-acquires
+    ASSERT_TRUE(t->AcquireLock(65, LockMode::kExclusive, 10).ok());
+    ASSERT_TRUE(t->AcquireLock(65, LockMode::kExclusive, 10).ok());
+    ASSERT_TRUE(t->TryAcquireLock(65, LockMode::kShared).ok());
+  });
 }
 
 TEST_F(TransactionManagerTest, DoubleFinishRejected) {

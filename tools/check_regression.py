@@ -40,14 +40,14 @@ absolute throughput depends on the runner, so the gate checks *shape*:
      bench/BENCH_micro_index.json.
   7. Optionally (--server-current/--server-baseline), a `micro_server
      --out` JSON is gated on liveness, error-freedom, zero admission sheds
-     at low load, a liveness-grade p99 ceiling, and within-run concurrency
+     at low load, a liveness-grade p99 ceiling, a conservative absolute
+     throughput floor per cell (200 tps), and within-run concurrency
      sanity (4-thread throughput >= 0.5x 1-thread). With --server-metrics,
      a btrim_server metrics export must cover every name in the manifest's
      "server_required" (net.*) list.
 
 This script is the only home of these floors: the benches' --smoke runs
-only shrink the workload (micro_server alone keeps an absolute throughput
-floor, which has no twin here).
+only shrink the workload.
 
 Exit 0 when green; exit 1 with one line per violation otherwise.
 """
@@ -444,9 +444,11 @@ def check_htap(current, baseline, threshold, errors):
 # Gates over micro_server --out JSON. The floors are deliberately
 # machine-portable: loopback RTT and runner core count dominate absolute
 # numbers, so the gate checks liveness, error-freedom, the zero-shed
-# property at low load, a liveness-grade p99 ceiling, and that concurrency
-# does not collapse throughput within the same run.
+# property at low load, a liveness-grade p99 ceiling, a throughput floor
+# far below any working machine, and that concurrency does not collapse
+# throughput within the same run.
 SERVER_P99_CEILING_US = 2_000_000
+SERVER_TPS_FLOOR = 200.0
 SERVER_CONCURRENCY_COLLAPSE_FLOOR = 0.5  # tps(4t) / tps(1t)
 
 
@@ -471,6 +473,9 @@ def check_server(current, baseline, errors):
         if c["p99_us"] > SERVER_P99_CEILING_US:
             errors.append(f"micro_server threads={threads}: p99 "
                           f"{c['p99_us']}us above {SERVER_P99_CEILING_US}us")
+        if c["tps"] < SERVER_TPS_FLOOR:
+            errors.append(f"SMOKE FAIL: threads={threads} tps {c['tps']:.0f} "
+                          f"below floor {SERVER_TPS_FLOOR:.0f}")
 
     # Gate 2: within-run concurrency sanity. Four client threads must keep
     # at least half of single-client throughput — a collapse here means the
