@@ -6,7 +6,6 @@ const char* LockRankName(LockRank rank) {
   switch (rank) {
     case LockRank::kUnranked: return "unranked";
     case LockRank::kCheckpointGate: return "checkpoint_gate";
-    case LockRank::kBackgroundQuiesce: return "background_quiesce";
     case LockRank::kIlmTick: return "ilm_tick";
     case LockRank::kGcPass: return "gc_pass";
     case LockRank::kNetServer: return "net_server";

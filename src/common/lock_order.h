@@ -28,9 +28,8 @@ enum class LockRank : uint16_t {
 
   // --- Tier 0: background orchestration gates -----------------------------
   kCheckpointGate = 5,      ///< Database::checkpoint_mu_ (one checkpointer at
-                            ///< a time; held across a shared background_rw_
-                            ///< hold, hence the outermost rank)
-  kBackgroundQuiesce = 10,  ///< Database::background_rw_
+                            ///< a time; held across the whole checkpoint,
+                            ///< hence the outermost rank)
   kIlmTick = 20,            ///< Database::ilm_tick_mu_
   kGcPass = 30,             ///< Database::gc_pass_mu_
   kNetServer = 32,          ///< net::Server::conns_mu_ (fd -> connection map;

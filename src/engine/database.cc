@@ -336,12 +336,47 @@ Status Database::WriteCommitRecords(Transaction* txn, uint64_t cts) {
   // Both logs route through their GroupCommitter: this call returns once the
   // records are durable per the configured policy, possibly having ridden in
   // a batch with other committers' groups (one device sync for all of them).
-  if (txn->has_imrs_changes()) {
-    std::string group = std::move(*txn->imrs_redo_buffer());
-    LogRecord commit;
+  // CommitGroup copies the bytes, so one buffer per thread serves every
+  // commit.
+  thread_local std::string group;
+  group.clear();
+  int64_t records = 0;
+  for (const WriteIntent& w : txn->write_set()) {
+    // The redo image is the version the write added: the row data of an
+    // insert or update, the final payload a delete marker carries.
+    LogRecord rec;
+    Slice image = w.version != nullptr ? w.version->payload() : Slice();
+    switch (w.kind) {
+      case IntentKind::kImrsInsert:
+        rec.type = LogRecordType::kImrsInsert;
+        rec.source = static_cast<uint8_t>(w.row->source);
+        break;
+      case IntentKind::kImrsUpdate:
+        rec.type = LogRecordType::kImrsUpdate;
+        break;
+      case IntentKind::kImrsDelete:
+        rec.type = LogRecordType::kImrsDelete;
+        break;
+      case IntentKind::kImrsPack:
+        rec.type = LogRecordType::kImrsPack;
+        break;
+      default:
+        continue;  // page-store and index writes are not in this log
+    }
+    rec.txn_id = txn->id();
+    rec.table_id = w.partition->table_id;
+    rec.partition_id = w.partition->partition_id;
+    rec.rid = w.rid;
+    const bool is_delete = w.kind == IntentKind::kImrsDelete;
+    AppendLogRecord(&group, rec, is_delete ? image : Slice(),
+                    is_delete ? Slice() : image);
+    ++records;
+  }
+  LogRecord commit;
+  commit.txn_id = txn->id();
+  commit.cts = cts;
+  if (records > 0) {
     commit.type = LogRecordType::kImrsCommit;
-    commit.txn_id = txn->id();
-    commit.cts = cts;
     // Cross-log atomicity: a transaction that also touched the page store
     // must not have its IMRS group replayed unless its syslogs commit made
     // it to disk too — otherwise a crash between the two syncs below would
@@ -351,25 +386,31 @@ Status Database::WriteCommitRecords(Transaction* txn, uint64_t cts) {
     // flagged groups against the syslogs winner set (see recovery.cc).
     commit.source = txn->has_pagestore_changes() ? 1 : 0;
     AppendLogRecord(&group, commit);
-    BTRIM_RETURN_IF_ERROR(sysimrslogs_committer_->CommitGroup(
-        Slice(group), txn->imrs_record_count() + 1));
+    BTRIM_RETURN_IF_ERROR(
+        sysimrslogs_committer_->CommitGroup(Slice(group), records + 1));
   }
   if (txn->has_pagestore_changes()) {
-    LogRecord commit;
     commit.type = LogRecordType::kPsCommit;
-    commit.txn_id = txn->id();
-    commit.cts = cts;
-    thread_local std::string scratch;
-    scratch.clear();
-    AppendLogRecord(&scratch, commit);
-    BTRIM_RETURN_IF_ERROR(syslogs_committer_->CommitGroup(Slice(scratch), 1));
+    commit.source = 0;
+    group.clear();
+    AppendLogRecord(&group, commit);
+    BTRIM_RETURN_IF_ERROR(syslogs_committer_->CommitGroup(Slice(group), 1));
   }
   return Status::OK();
 }
 
 Status Database::Commit(Transaction* txn) {
+  // Runs after the commit timestamp is assigned and before any lock is
+  // released, so the write set is applied (or, when the logs refuse the
+  // commit, rolled back) while its rows are still locked.
   return txn_manager_.Commit(txn, [this](Transaction* t, uint64_t cts) {
-    return WriteCommitRecords(t, cts);
+    Status s = WriteCommitRecords(t, cts);
+    if (s.ok()) {
+      ApplyWriteSet(t, cts);
+    } else {
+      RollBackWriteSet(t);
+    }
+    return s;
   });
 }
 
@@ -381,6 +422,7 @@ Status Database::Abort(Transaction* txn) {
     Status s = syslogs_->AppendRecord(rec);
     (void)s;  // abort proceeds regardless; recovery treats it as a loser
   }
+  RollBackWriteSet(txn);  // empty once the transaction has finished
   return txn_manager_.Abort(txn);
 }
 
@@ -411,16 +453,12 @@ void Database::StopBackground() {
 }
 
 void Database::RunGcOnce() {
-  {
-    RwSpinLockReadGuard quiesce(background_rw_);
-    MutexGuard pass(gc_pass_mu_);
-    gc_->RunOnce(txn_manager_.OldestActiveSnapshot(), Now());
-  }
+  MutexGuard pass(gc_pass_mu_);
+  gc_->RunOnce(txn_manager_.OldestActiveSnapshot(), Now());
 }
 
 void Database::RunIlmTickOnce() {
   {
-    RwSpinLockReadGuard quiesce(background_rw_);
     MutexGuard tick(ilm_tick_mu_);
     ilm_->BackgroundTick(Now());
   }
@@ -526,17 +564,12 @@ PackBatchOutcome Database::PackBatch(PartitionState* partition,
       if (tpart->heap->Exists(row->rid)) {
         ps = tpart->heap->Read(row->rid, &st.before);
         if (ps.ok()) {
-          LogRecord del;
-          del.type = LogRecordType::kPsDelete;
-          del.txn_id = txn->id();
-          del.table_id = table->id();
-          del.partition_id = partition->partition_id;
-          del.rid = row->rid.Encode();
-          del.before = st.before;
           ps = tpart->heap->Delete(row->rid);
           if (ps.ok()) {
             st.had_heap_home = true;
-            AppendLogRecord(&log_buf, del);
+            LogRecord del = rec;
+            del.type = LogRecordType::kPsDelete;
+            AppendLogRecord(&log_buf, del, st.before, Slice());
             ++log_records;
           }
         }
@@ -636,14 +669,9 @@ PackBatchOutcome Database::PackBatch(PartitionState* partition,
         continue;
       }
     }
-    LogRecord pack_rec;
-    pack_rec.type = LogRecordType::kImrsPack;
-    pack_rec.txn_id = txn->id();
-    pack_rec.table_id = table->id();
-    pack_rec.partition_id = partition->partition_id;
-    pack_rec.rid = row->rid.Encode();
-    AppendLogRecord(txn->imrs_redo_buffer(), pack_rec);
-    txn->CountImrsRecord();
+    txn->AddIntent({.kind = IntentKind::kImrsPack,
+                    .rid = row->rid.Encode(),
+                    .partition = partition});
 
     // CoW hook: an in-flight overlapped checkpoint may not have reached
     // this row's RID-map slot yet — stash its snapshot-visible pre-image
@@ -816,15 +844,9 @@ bool Database::PurgePageStoreHome(ImrsRow* row) {
   if (tpart->heap->Exists(row->rid)) {
     std::string before;
     if (tpart->heap->Read(row->rid, &before).ok()) {
-      LogRecord rec;
-      rec.type = LogRecordType::kPsDelete;
-      rec.txn_id = txn->id();
-      rec.table_id = table->id();
-      rec.partition_id = tpart->id;
-      rec.rid = row->rid.Encode();
-      rec.before = std::move(before);
-      Status ls = syslogs_->AppendRecord(rec);
-      if (!ls.ok()) {
+      if (!LogPageStoreWrite(txn.get(), LogRecordType::kPsDelete, tpart,
+                             row->rid, before, Slice())
+               .ok()) {
         // Unloggable delete: leave the heap home in place and retry the
         // purge later; deleting it unlogged would resurrect the row after
         // a crash once the tombstone that masks it is purged.
@@ -832,7 +854,6 @@ bool Database::PurgePageStoreHome(ImrsRow* row) {
         (void)as;
         return false;
       }
-      txn->MarkPageStoreChange();
       Status ds = tpart->heap->Delete(row->rid);
       (void)ds;
     }
@@ -842,20 +863,13 @@ bool Database::PurgePageStoreHome(ImrsRow* row) {
     // once the masking tombstone is purged.
     std::string before;
     if (cold_->ReadRow(row->rid, &before).ok()) {
-      LogRecord rec;
-      rec.type = LogRecordType::kColdErase;
-      rec.txn_id = txn->id();
-      rec.table_id = table->id();
-      rec.partition_id = tpart->id;
-      rec.rid = row->rid.Encode();
-      rec.before = std::move(before);
-      Status ls = syslogs_->AppendRecord(rec);
-      if (!ls.ok()) {
+      if (!LogPageStoreWrite(txn.get(), LogRecordType::kColdErase, tpart,
+                             row->rid, before, Slice())
+               .ok()) {
         Status as = Abort(txn.get());
         (void)as;
         return false;
       }
-      txn->MarkPageStoreChange();
       cold_->Erase(row->rid);
     }
   }

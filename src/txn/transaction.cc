@@ -23,6 +23,16 @@ Status Transaction::TryAcquireLock(uint64_t lock_id, LockMode mode) {
   return Status::OK();
 }
 
+void Transaction::AddIntent(WriteIntent intent, Slice key, Slice image) {
+  intent.key_off = static_cast<uint32_t>(intent_bytes_.size());
+  intent.key_len = static_cast<uint32_t>(key.size());
+  intent_bytes_.append(key.data(), key.size());
+  intent.image_off = static_cast<uint32_t>(intent_bytes_.size());
+  intent.image_len = static_cast<uint32_t>(image.size());
+  intent_bytes_.append(image.data(), image.size());
+  write_set_.push_back(intent);
+}
+
 TransactionManager::TransactionManager(LockManager* lock_manager)
     : lock_manager_(lock_manager) {
   for (auto& slot : pinned_snapshots_) {
@@ -90,14 +100,15 @@ int64_t TransactionManager::ActiveCount() const {
   return n;
 }
 
-void TransactionManager::ReleaseAllLocks(Transaction* txn) {
+void TransactionManager::Finish(Transaction* txn, TxnState outcome) {
+  txn->write_set_.clear();
+  txn->state_ = outcome;
   for (uint64_t lock_id : txn->held_locks_) {
     lock_manager_->Release(txn->id_, lock_id);
   }
   txn->held_locks_.clear();
-}
+  (outcome == TxnState::kCommitted ? committed_ : aborted_).Inc();
 
-void TransactionManager::Unregister(Transaction* txn) {
   ActiveShard& shard = ShardFor(txn->id_);
   {
     MutexGuard guard(shard.mu);
@@ -158,14 +169,7 @@ Status TransactionManager::Commit(
     }
   }
 
-  for (auto& fn : txn->commit_fns_) fn(cts);
-  txn->commit_fns_.clear();
-  txn->undo_fns_.clear();
-  txn->state_ = TxnState::kCommitted;
-
-  ReleaseAllLocks(txn);
-  Unregister(txn);
-  committed_.Inc();
+  Finish(txn, TxnState::kCommitted);
   return Status::OK();
 }
 
@@ -173,16 +177,7 @@ Status TransactionManager::Abort(Transaction* txn) {
   if (txn->state_ != TxnState::kActive) {
     return Status::InvalidArgument("abort of finished transaction");
   }
-  for (auto it = txn->undo_fns_.rbegin(); it != txn->undo_fns_.rend(); ++it) {
-    (*it)();
-  }
-  txn->undo_fns_.clear();
-  txn->commit_fns_.clear();
-  txn->state_ = TxnState::kAborted;
-
-  ReleaseAllLocks(txn);
-  Unregister(txn);
-  aborted_.Inc();
+  Finish(txn, TxnState::kAborted);
   return Status::OK();
 }
 

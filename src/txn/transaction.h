@@ -11,6 +11,7 @@
 #include "common/clock.h"
 #include "common/counters.h"
 #include "common/mutex.h"
+#include "common/slice.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "txn/lock_manager.h"
@@ -22,12 +23,54 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 
 class TransactionManager;
 
+// Engine types a write intent points at. Forward declarations only: the
+// engine interprets intents, this library just stores them.
+class BTree;
+class HeapFile;
+class Table;
+struct ImrsRow;
+struct PartitionState;
+struct RowVersion;
+
+/// What one write did (DESIGN.md Sec. 7, "The write set"). The engine
+/// applies each kind at commit, undoes it at abort, and encodes the IMRS
+/// kinds into the transaction's sysimrslogs group.
+enum class IntentKind : uint8_t {
+  kIndexInsert,  ///< key inserted into `tree`
+  kImrsInsert,   ///< IMRS row created (inserted, migrated or cached)
+  kImrsUpdate,   ///< new version on an IMRS row
+  kImrsDelete,   ///< delete marker on an IMRS row
+  kImrsPack,     ///< Pack moved the row out of the IMRS (redo only)
+  kHeapInsert,   ///< heap slot placed
+  kHeapUpdate,   ///< heap slot rewritten; image = before-image
+  kHeapDelete,   ///< heap slot deleted; image = before-image
+  kColdErase,    ///< cold home erased by an update; image = before-image
+  kColdDelete,   ///< cold home erased by a delete; image = before-image
+};
+
+/// One entry of a transaction's write set: a plain record whose pointers
+/// are owned elsewhere. Its variable bytes (an index key or primary key,
+/// and a before-image) live in the transaction's byte buffer.
+struct WriteIntent {
+  IntentKind kind = IntentKind::kIndexInsert;
+  uint64_t rid = 0;    ///< encoded Rid of the written row
+  int64_t bytes = 0;   ///< IMRS bytes charged to `partition`
+  Table* table = nullptr;
+  PartitionState* partition = nullptr;
+  ImrsRow* row = nullptr;
+  RowVersion* version = nullptr;  ///< the version this write added
+  HeapFile* heap = nullptr;
+  BTree* tree = nullptr;
+  uint32_t key_off = 0, key_len = 0;
+  uint32_t image_off = 0, image_len = 0;
+};
+
 /// One in-flight transaction.
 ///
-/// Carries the snapshot timestamp (begin_ts), the held-lock set, undo
-/// actions for in-memory rollback, commit actions (version timestamp
-/// stamping, ILM accounting), and the transaction-local redo buffer for
-/// sysimrslogs (IMRS changes are logged at commit as one contiguous group,
+/// Carries the snapshot timestamp (begin_ts), the held-lock set, and the
+/// write set: one WriteIntent per write, from which the engine finishes the
+/// transaction at commit, rolls it back at abort, and builds its sysimrslogs
+/// group (IMRS changes are logged at commit as one contiguous group,
 /// enabling the redo-only recovery of the IMRS log — paper Sec. II).
 class Transaction {
  public:
@@ -48,28 +91,24 @@ class Transaction {
   /// Conditional variant (used by Pack transactions).
   Status TryAcquireLock(uint64_t lock_id, LockMode mode);
 
-  /// --- undo / commit hooks ------------------------------------------------
+  /// --- write set -----------------------------------------------------------
 
-  /// Registers an action run (in reverse order) if the transaction aborts.
-  void AddUndo(std::function<void()> fn) { undo_fns_.push_back(std::move(fn)); }
+  /// Records one write; `key` and `image` are copied into the byte buffer.
+  void AddIntent(WriteIntent intent, Slice key = Slice(),
+                 Slice image = Slice());
 
-  /// Registers an action run at commit, receiving the commit timestamp.
-  void AddCommitAction(std::function<void(uint64_t)> fn) {
-    commit_fns_.push_back(std::move(fn));
+  /// Intents in the order they were added; emptied when the transaction
+  /// finishes.
+  const std::vector<WriteIntent>& write_set() const { return write_set_; }
+  Slice key(const WriteIntent& w) const {
+    return Slice(intent_bytes_.data() + w.key_off, w.key_len);
+  }
+  Slice image(const WriteIntent& w) const {
+    return Slice(intent_bytes_.data() + w.image_off, w.image_len);
   }
 
-  /// --- IMRS redo buffer ----------------------------------------------------
-
-  /// Serialized sysimrslogs records for this transaction, appended by the
-  /// access layer, flushed as one group at commit.
-  std::string* imrs_redo_buffer() { return &imrs_redo_; }
-
-  bool has_imrs_changes() const { return !imrs_redo_.empty(); }
   bool has_pagestore_changes() const { return ps_changes_; }
   void MarkPageStoreChange() { ps_changes_ = true; }
-
-  int64_t imrs_record_count() const { return imrs_record_count_; }
-  void CountImrsRecord() { ++imrs_record_count_; }
 
  private:
   friend class TransactionManager;
@@ -84,10 +123,8 @@ class Transaction {
   TxnState state_ = TxnState::kActive;
 
   std::vector<uint64_t> held_locks_;
-  std::vector<std::function<void()>> undo_fns_;
-  std::vector<std::function<void(uint64_t)>> commit_fns_;
-  std::string imrs_redo_;
-  int64_t imrs_record_count_ = 0;
+  std::vector<WriteIntent> write_set_;
+  std::string intent_bytes_;
   bool ps_changes_ = false;
 };
 
@@ -95,10 +132,11 @@ class Transaction {
 /// commit clock (the atomic counter of Sec. VI.D), tracks the active set
 /// for garbage collection, and drives commit/abort processing.
 ///
-/// Durability hooks: the owner (Database) supplies a commit hook invoked
-/// *after* the commit timestamp is assigned and *before* in-memory commit
-/// actions run; the hook writes and syncs the log records (typically by
-/// waiting on a GroupCommitter batch). If the hook fails, the transaction
+/// Durability hook: the owner (Database) supplies a commit hook invoked
+/// *after* the commit timestamp is assigned and *before* any lock is
+/// released; the hook writes and syncs the log records (typically by
+/// waiting on a GroupCommitter batch) and then applies the write set, or
+/// rolls it back if the logs refused it. If the hook fails, the transaction
 /// aborts instead. No manager-wide mutex is held around the hook, so a
 /// transaction waiting for its batch to sync never blocks other commits.
 ///
@@ -121,13 +159,13 @@ class TransactionManager {
   std::unique_ptr<Transaction> Begin();
 
   /// Commits: assigns commit_ts, calls `durability_hook` (may be null),
-  /// runs commit actions, releases locks. On hook failure the transaction
-  /// is aborted and the hook's status returned.
+  /// releases locks. On hook failure the transaction is aborted and the
+  /// hook's status returned.
   Status Commit(Transaction* txn,
                 const std::function<Status(Transaction*, uint64_t)>&
                     durability_hook = nullptr);
 
-  /// Aborts: runs undo actions in reverse, releases locks.
+  /// Aborts: releases locks. The owner undoes the write set first.
   Status Abort(Transaction* txn);
 
   /// Oldest snapshot that any active transaction may still read; versions
@@ -217,8 +255,8 @@ class TransactionManager {
     return active_shards_[txn_id % kActiveShards];
   }
 
-  void ReleaseAllLocks(Transaction* txn);
-  void Unregister(Transaction* txn);
+  /// Ends `txn` with `outcome`: releases its locks and unregisters it.
+  void Finish(Transaction* txn, TxnState outcome);
 
   /// Fast-path check + slow-path wait for the quiescence gate.
   void WaitWhilePaused();

@@ -25,8 +25,13 @@ bool GetLengthPrefixed(Slice* input, std::string* out) {
 }  // namespace
 
 void AppendLogRecord(std::string* dst, const LogRecord& rec) {
+  AppendLogRecord(dst, rec, rec.before, rec.after);
+}
+
+void AppendLogRecord(std::string* dst, const LogRecord& rec, Slice before,
+                     Slice after) {
   const size_t body_len =
-      kFixedBodyBytes + 4 + rec.before.size() + 4 + rec.after.size();
+      kFixedBodyBytes + 4 + before.size() + 4 + after.size();
   const size_t start = dst->size();
   dst->reserve(start + kHeaderBytes + body_len);
 
@@ -44,11 +49,11 @@ void AppendLogRecord(std::string* dst, const LogRecord& rec) {
   EncodeFixed64(p + 16, rec.rid);
   EncodeFixed64(p + 24, rec.cts);
   p[32] = static_cast<char>(rec.source);
-  EncodeFixed32(p + 33, static_cast<uint32_t>(rec.before.size()));
+  EncodeFixed32(p + 33, static_cast<uint32_t>(before.size()));
   dst->append(head, sizeof(head));
-  dst->append(rec.before);
-  PutFixed32(dst, static_cast<uint32_t>(rec.after.size()));
-  dst->append(rec.after);
+  dst->append(before.data(), before.size());
+  PutFixed32(dst, static_cast<uint32_t>(after.size()));
+  dst->append(after.data(), after.size());
 
   char* frame = dst->data() + start;
   EncodeFixed32(frame + 4, static_cast<uint32_t>(

@@ -78,6 +78,12 @@ struct LogRecord {
 /// checksum patched in last; `dst` grows by at most one reallocation.
 void AppendLogRecord(std::string* dst, const LogRecord& rec);
 
+/// The same frame with `before` and `after` as the images (the images in
+/// `rec` are ignored), so a caller can encode straight from bytes it does
+/// not own as strings.
+void AppendLogRecord(std::string* dst, const LogRecord& rec, Slice before,
+                     Slice after);
+
 /// Parses one framed record from the front of `input`, consuming it.
 /// Returns NotFound at a clean end or a torn/corrupt tail.
 Status ParseLogRecord(Slice* input, LogRecord* rec);

@@ -435,6 +435,73 @@ TEST(ColdEngineTest, PackedRowsLandColdAndStayReadable) {
   EXPECT_TRUE(db->ValidateInvariants().ok());
 }
 
+// Aborting a write to a cold-columnar row restores its cold home: an update
+// (cold erase + heap insert) and a delete (cold erase + index drop deferred
+// to commit) each leave the row exactly as Pack left it.
+TEST(ColdEngineTest, AbortedWritesRestoreColdHomes) {
+  auto db = std::move(*Database::Open(ColdOptions("", /*pack_workers=*/1)));
+  Table* table = *db->CreateTable(ColdTableOptions());
+  InsertRows(db.get(), table);
+  DrainPack(db.get());
+
+  auto key = [&](int64_t id) { return table->pk_encoder().KeyForInts({id}); };
+  auto rid_of = [&](int64_t id) {
+    return Rid::Decode(*table->primary_index()->Search(key(id)));
+  };
+  std::vector<int64_t> cold_ids;
+  for (int64_t id = 0; id < kRows && cold_ids.size() < 2; ++id) {
+    const Rid rid = rid_of(id);
+    if (db->cold()->Exists(rid) && db->rid_map()->Lookup(rid) == nullptr) {
+      cold_ids.push_back(id);
+    }
+  }
+  ASSERT_EQ(cold_ids.size(), 2u) << "pack should relocate rows cold";
+  const int64_t updated = cold_ids[0];
+  const int64_t deleted = cold_ids[1];
+
+  // Keep the update on the page-store path (no migration into the IMRS).
+  db->ilm()->SetForcePageStore(true);
+  {
+    auto txn = db->Begin();
+    ASSERT_TRUE(db->Update(txn.get(), table, key(updated),
+                           [&](std::string* payload) {
+                             RecordEditor e(&table->schema(), Slice(*payload));
+                             e.SetString(3, "never-committed");
+                             *payload = e.Encode();
+                           })
+                    .ok());
+    EXPECT_FALSE(db->cold()->Exists(rid_of(updated)));
+    EXPECT_TRUE(table->PartitionForRid(rid_of(updated))
+                    ->heap->Exists(rid_of(updated)));
+    ASSERT_TRUE(db->Abort(txn.get()).ok());
+  }
+  {
+    auto txn = db->Begin();
+    ASSERT_TRUE(db->Delete(txn.get(), table, key(deleted)).ok());
+    EXPECT_FALSE(db->cold()->Exists(rid_of(deleted)));
+    ASSERT_TRUE(db->Abort(txn.get()).ok());
+  }
+
+  for (int64_t id : cold_ids) {
+    const Rid rid = rid_of(id);
+    EXPECT_TRUE(db->cold()->Exists(rid)) << id;
+    EXPECT_FALSE(table->PartitionForRid(rid)->heap->Exists(rid)) << id;
+    EXPECT_EQ(db->rid_map()->Lookup(rid), nullptr) << id;
+  }
+  Status valid = db->ValidateInvariants();
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  for (int64_t id : cold_ids) {
+    auto txn = db->Begin();
+    std::string row;
+    ASSERT_TRUE(db->SelectByKey(txn.get(), table, key(id), &row).ok()) << id;
+    RecordView v(&table->schema(), Slice(row));
+    EXPECT_EQ(v.GetString(3).ToString(), ColdValue(id)) << id;
+    EXPECT_EQ(v.GetInt(2), id * 3) << id;
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
+  }
+  db->ilm()->SetForcePageStore(false);
+}
+
 TEST(ColdEngineTest, ScanTableMergesHotAndColdUnderProjection) {
   auto db = std::move(*Database::Open(ColdOptions("", /*pack_workers=*/1)));
   Table* table = *db->CreateTable(ColdTableOptions());

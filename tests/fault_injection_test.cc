@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_plan.h"
+#include "engine/database.h"
 #include "obs/metrics_registry.h"
 #include "page/buffer_cache.h"
 #include "page/device.h"
@@ -355,6 +356,68 @@ TEST(BufferCacheFaultTest, EvictionWriteBackFailureSurfacesAndPreservesData) {
     EXPECT_EQ(guard->data()[0], 'A');
     EXPECT_EQ(guard->data()[kPageSize - 1], 'A');
   }
+}
+
+// --- engine commit ----------------------------------------------------------
+
+// A commit whose sysimrslogs group append fails rolls its write set back
+// before its locks are released: the transaction ends aborted, none of its
+// writes is visible, and the next transaction gets the row lock at once.
+TEST(CommitFaultTest, FailedGroupAppendRollsBackBeforeLocksGo) {
+  auto plan = std::make_shared<FaultPlan>(1);
+  DatabaseOptions options;
+  options.buffer_cache_frames = 256;
+  options.imrs_cache_bytes = 8 << 20;
+  options.lock_timeout_ms = 100;
+  options.fault_plan = plan;
+  Result<std::unique_ptr<Database>> opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<Database> db = std::move(*opened);
+  TableOptions topt;
+  topt.name = "kv";
+  topt.schema = Schema({Column::Int64("id"), Column::String("value", 32)});
+  topt.primary_key = {0};
+  Result<Table*> created = db->CreateTable(topt);
+  ASSERT_TRUE(created.ok());
+  Table* table = *created;
+  auto record = [&](int64_t id, const std::string& value) {
+    RecordBuilder b(&table->schema());
+    b.AddInt64(id).AddString(value);
+    return b.Finish().ToString();
+  };
+  auto key = [&](int64_t id) { return table->pk_encoder().KeyForInts({id}); };
+  {
+    auto txn = db->Begin();
+    ASSERT_TRUE(db->Insert(txn.get(), table, record(1, "original")).ok());
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
+  }
+  const obs::MetricsRegistry& m = *db->metrics_registry();
+  const int64_t imrs_bytes = m.Sum("partition.imrs_bytes");
+  const int64_t imrs_rows = m.Sum("partition.imrs_rows");
+
+  auto txn = db->Begin();
+  ASSERT_TRUE(db->Insert(txn.get(), table, record(2, "never")).ok());
+  ASSERT_TRUE(db->Update(txn.get(), table, key(1), [&](std::string* payload) {
+                  *payload = record(1, "changed");
+                }).ok());
+  plan->FailNth(FaultOp::kAppend, "sysimrslogs", 1);
+  Status s = db->Commit(txn.get());
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(txn->state(), TxnState::kAborted);
+  EXPECT_EQ(plan->GetStats().errors_injected, 1);
+
+  auto next = db->Begin();
+  const Rid rid = Rid::Decode(*table->primary_index()->Search(key(1)));
+  EXPECT_TRUE(next->TryAcquireLock(rid.Encode(), LockMode::kExclusive).ok());
+  std::string row;
+  EXPECT_TRUE(db->SelectByKey(next.get(), table, key(2), &row).IsNotFound());
+  ASSERT_TRUE(db->SelectByKey(next.get(), table, key(1), &row).ok());
+  EXPECT_EQ(row, record(1, "original"));
+  ASSERT_TRUE(db->Abort(next.get()).ok());
+  EXPECT_EQ(m.Sum("partition.imrs_bytes"), imrs_bytes);
+  EXPECT_EQ(m.Sum("partition.imrs_rows"), imrs_rows);
+  Status valid = db->ValidateInvariants();
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
 }
 
 }  // namespace

@@ -484,8 +484,8 @@ TEST(TpccStressTest, DriverWithFourWorkersStaysConsistent) {
 // workers plus the GC/ILM background threads, with the steady line pushed
 // low enough that pack cycles run throughout. TSan covers the new fan-out
 // machinery end to end — ThreadPool batch handoff, per-partition pack
-// locks, the row reclaim-claim arbitration against GC, and the
-// background_rw_ quiescence gate the final invariant check rides on.
+// locks, the row reclaim-claim arbitration against GC, and the tick/pass
+// mutexes the final invariant check holds to exclude pack and GC.
 TEST(TpccStressTest, EightWorkersAgainstParallelPack) {
   DatabaseOptions options;
   options.buffer_cache_frames = 2048;

@@ -3,12 +3,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "testing/alloc_counter.h"
 #include "tpcc/driver.h"
 #include "tpcc/loader.h"
 #include "tpcc/tpcc_random.h"
@@ -486,6 +488,41 @@ TEST_F(TpccTest, ConcurrentNewOrdersOnOneWarehouseNeverTimeOut) {
   for (std::thread& t : terminals) t.join();
   EXPECT_GT(committed.load(), 0);
   EXPECT_EQ(db_->metrics_registry()->Sum("locks.timeouts"), 0);
+}
+
+// Heap allocations per warm transaction of each type, single-threaded with
+// no background threads, so every allocation counted is the transaction's
+// own. Deterministic for a given seed; the ceilings pin what one write set
+// per transaction (no per-write hook objects, redo encoded at commit) buys.
+TEST_F(TpccTest, WarmTransactionsStayUnderAllocationCeilings) {
+  Open();
+  struct TxnType {
+    const char* name;
+    TxnResult (*run)(TpccContext*, TpccRandom*, int);
+    double ceiling;  // <= 0: reported only
+  };
+  const TxnType types[] = {
+      {"NewOrder", RunNewOrder, 300},
+      {"Payment", RunPayment, 55},
+      {"OrderStatus", RunOrderStatus, 0},
+      {"Delivery", RunDelivery, 0},
+      {"StockLevel", RunStockLevel, 0},
+  };
+  constexpr int kWarmup = 300;
+  constexpr int kMeasured = 2000;
+  for (const TxnType& type : types) {
+    TpccRandom rnd(7);
+    for (int i = 0; i < kWarmup; ++i) type.run(&ctx_, &rnd, 1);
+    const int64_t before = testing::HeapAllocations();
+    for (int i = 0; i < kMeasured; ++i) type.run(&ctx_, &rnd, 1);
+    const double per_txn =
+        static_cast<double>(testing::HeapAllocations() - before) / kMeasured;
+    std::printf("%-12s %7.1f allocations per warm transaction\n", type.name,
+                per_txn);
+    if (type.ceiling > 0) {
+      EXPECT_LE(per_txn, type.ceiling) << type.name;
+    }
+  }
 }
 
 TEST_F(TpccTest, DeterministicSeedsGiveDeterministicTransactions) {

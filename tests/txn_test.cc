@@ -291,51 +291,20 @@ TEST_F(TransactionManagerTest, SeesRespectsSnapshot) {
   ASSERT_TRUE(tm_.Abort(t2.get()).ok());
 }
 
-TEST_F(TransactionManagerTest, CommitActionsReceiveCommitTs) {
-  auto txn = tm_.Begin();
-  uint64_t seen_cts = 0;
-  txn->AddCommitAction([&](uint64_t cts) { seen_cts = cts; });
-  ASSERT_TRUE(tm_.Commit(txn.get()).ok());
-  EXPECT_EQ(seen_cts, txn->commit_ts());
-}
-
-TEST_F(TransactionManagerTest, UndoActionsRunInReverseOnAbort) {
-  auto txn = tm_.Begin();
-  std::vector<int> order;
-  txn->AddUndo([&] { order.push_back(1); });
-  txn->AddUndo([&] { order.push_back(2); });
-  txn->AddUndo([&] { order.push_back(3); });
-  ASSERT_TRUE(tm_.Abort(txn.get()).ok());
-  EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
-  EXPECT_EQ(txn->state(), TxnState::kAborted);
-}
-
-TEST_F(TransactionManagerTest, UndoActionsSkippedOnCommit) {
-  auto txn = tm_.Begin();
-  bool undone = false;
-  txn->AddUndo([&] { undone = true; });
-  ASSERT_TRUE(tm_.Commit(txn.get()).ok());
-  EXPECT_FALSE(undone);
-}
-
-TEST_F(TransactionManagerTest, CommitActionsSkippedOnAbort) {
-  auto txn = tm_.Begin();
-  bool committed_action = false;
-  txn->AddCommitAction([&](uint64_t) { committed_action = true; });
-  ASSERT_TRUE(tm_.Abort(txn.get()).ok());
-  EXPECT_FALSE(committed_action);
-}
-
+// The write set itself is applied and undone by the engine (engine_test
+// and fault_injection_test cover it); what is left here is the manager's
+// side: a failed durability hook ends the transaction aborted, and its
+// locks are released.
 TEST_F(TransactionManagerTest, DurabilityHookFailureAborts) {
   auto txn = tm_.Begin();
-  bool undone = false;
-  txn->AddUndo([&] { undone = true; });
+  ASSERT_TRUE(txn->AcquireLock(77, LockMode::kExclusive, 10).ok());
   Status s = tm_.Commit(txn.get(), [](Transaction*, uint64_t) {
     return Status::IOError("log device gone");
   });
   EXPECT_TRUE(s.IsIOError());
   EXPECT_EQ(txn->state(), TxnState::kAborted);
-  EXPECT_TRUE(undone);
+  EXPECT_TRUE(lm_.TryAcquire(9999, 77, LockMode::kExclusive).ok());
+  lm_.Release(9999, 77);
 }
 
 TEST_F(TransactionManagerTest, DurabilityHookSeesCommitTs) {
