@@ -5,8 +5,8 @@
 // blob checksum and dropped — the same WAL-style tolerance the transaction
 // logs have. Cold *placements* are additionally value-logged in syslogs
 // (kColdPlace/kColdErase), so rows staged but not yet flushed replay from
-// the log; the checkpoint flushes this store before truncating syslogs, so
-// the two sources always cover every live cold row between them.
+// the log; the checkpoint flushes this store before it drops syslogs
+// segments, so the two sources always cover every live cold row.
 
 #include "cold/cold_store.h"
 
@@ -23,7 +23,7 @@ namespace {
 constexpr uint32_t kColdFrameMagic = 0x46534342;  // "BCSF" little-endian
 /// Erase-journal frame: a batch of rids whose cold homes were removed.
 /// Segment frames are immutable, so erases must persist separately or a
-/// crash after a syslogs truncation would resurrect flushed rows.
+/// crash after a syslogs drop would resurrect flushed rows.
 constexpr uint32_t kColdEraseMagic = 0x45534342;  // "BCSE" little-endian
 constexpr size_t kFrameHeaderBytes = 8;
 /// Segment blob prefix needed to peek table_id before full parse.
@@ -131,7 +131,7 @@ bool ColdStore::Erase(Rid rid) {
   erased_rows_.Inc();
   // Journal every erase (a pure-builder erase replays as a no-op): the row
   // may have been sealed at any point, and the journal is what survives a
-  // syslogs truncation.
+  // syslogs drop.
   {
     MutexGuard sg(segments_mu_);
     pending_erases_.push_back(key);
@@ -281,7 +281,7 @@ void ColdStore::AccumulateStatsLocked(
 Status ColdStore::Flush() {
   // Persist the erase journal even when no builder has rows to seal:
   // pending erases of already-flushed rows must be durable before the
-  // checkpoint truncates syslogs. SealLocked drains it again ahead of
+  // checkpoint drops syslogs segments. SealLocked drains it again ahead of
   // every segment frame it appends, so file order always reads
   // erase-then-re-place for a re-placed rid.
   if (storage_ != nullptr) {

@@ -78,8 +78,8 @@ class ColdStore {
   /// --- durability ---------------------------------------------------------
 
   /// Seals every non-empty builder and syncs the segment storage. Called
-  /// from the checkpoint durability barrier (and its pre-truncation
-  /// window), so a syslogs truncation never strands cold redo evidence.
+  /// from the checkpoint durability barrier, so no syslogs drop strands
+  /// cold redo evidence.
   Status Flush();
 
   /// Rebuilds segments + index from the attached storage (recovery). A torn
@@ -195,7 +195,7 @@ class ColdStore {
   std::unordered_map<uint32_t, std::vector<ColdColumnStats>> column_stats_
       BTRIM_GUARDED_BY(segments_mu_);
   /// Erase journal: segment frames are immutable, so erases of flushed rows
-  /// must persist separately or a crash after a log truncation would
+  /// must persist separately or a crash after a log drop would
   /// resurrect them from the segment file. Drained into one erase frame
   /// BEFORE every segment-frame append (seal or flush, under segments_mu_
   /// across both appends) — pending erases predate the rows currently

@@ -14,6 +14,10 @@ const char* FaultOpName(FaultOp op) {
       return "sync";
     case FaultOp::kAppend:
       return "append";
+    case FaultOp::kRollOver:
+      return "rollover";
+    case FaultOp::kDrop:
+      return "drop";
   }
   return "?";
 }

@@ -18,7 +18,9 @@ enum class FaultOp : uint8_t {
   kRead = 0,    ///< Device::ReadPage
   kWrite = 1,   ///< Device::WritePage
   kSync = 2,    ///< Device::Sync / LogStorage::Sync
-  kAppend = 3,  ///< LogStorage::Append
+  kAppend = 3,    ///< LogStorage::Append
+  kRollOver = 4,  ///< LogStorage::RollOver
+  kDrop = 5,      ///< LogStorage::DropBefore
 };
 
 const char* FaultOpName(FaultOp op);
@@ -84,7 +86,7 @@ class FaultPlan {
 
   /// Torn write at global op `op_index`: the decorator applies a seeded
   /// partial image to its pending state and returns IOError. Ops that
-  /// cannot tear (reads, syncs) degrade to a plain error.
+  /// cannot tear (reads, syncs, rollovers, drops) degrade to a plain error.
   void TornWriteAtOp(uint64_t op_index);
 
   /// IOError on the nth (1-based) operation of `op` kind whose decorator
@@ -135,7 +137,7 @@ class FaultPlan {
   std::vector<uint64_t> fail_ops_ BTRIM_GUARDED_BY(mu_);
   std::vector<uint64_t> torn_ops_ BTRIM_GUARDED_BY(mu_);
   std::vector<NthTrigger> nth_triggers_ BTRIM_GUARDED_BY(mu_);
-  double error_probability_[4] BTRIM_GUARDED_BY(mu_) = {0.0, 0.0, 0.0, 0.0};
+  double error_probability_[6] BTRIM_GUARDED_BY(mu_) = {};
   bool trace_enabled_ BTRIM_GUARDED_BY(mu_) = false;
   std::vector<TraceEntry> trace_ BTRIM_GUARDED_BY(mu_);
 

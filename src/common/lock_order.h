@@ -97,7 +97,6 @@ enum class LockRank : uint16_t {
   kGcReclaimHooks = 265,///< ImrsGc::reclaim_mu_ (hook list; hooks run with
                         ///< it released)
   kIlmLastCycle = 270,  ///< IlmManager::last_cycle_mu_
-  kSamplerThread = 280, ///< TimeSeriesSampler::thread_mu_
   kSamplerRing = 290,   ///< TimeSeriesSampler::mu_
 
   // --- Test-only ranks (lock_order_test's injected inversion) ---------------

@@ -6,6 +6,9 @@
 // overlapped protocol reduces the foreground stall to one short begin
 // barrier and runs everything else concurrently with commits, pack, and GC:
 //
+//   0. Rollover. Outside any pause, both logs sync and start a new segment;
+//      step 4 drops what lies before it.
+//
 //   1. Begin barrier. PauseNewTransactions drains the active set, so every
 //      commit with cts <= snapshot_ts is *fully applied* in memory (version
 //      timestamps stamped, index entries in place) — the snapshot epoch is
@@ -44,11 +47,8 @@
 //      seals the pair. Recovery rebases onto the newest *complete*
 //      begin/end pair; a torn checkpoint is ignored wholesale.
 //
-//   4. Opportunistic quiescent tail. If the foreground happens to be idle,
-//      the old quiescent contract still pays for itself: a kCheckpoint
-//      marker in sysimrslogs plus a syslogs truncation (the page-store log
-//      fundamentally needs quiescence to truncate — losers' undo evidence
-//      lives there). Skipped without waiting when transactions are active.
+//   4. Drop. With the end pair durable, both logs drop every segment
+//      before the step-0 rollover: the one thing that bounds them.
 //
 // Lock order: checkpoint_mu_ (kCheckpointGate, outermost — one
 // checkpointer at a time) -> log internals (the RID-map walk itself is
@@ -128,6 +128,12 @@ Status Database::Checkpoint() {
   obs::TraceSpan span(obs::TraceRing::Global(), "checkpoint", "engine");
   MutexGuard gate(checkpoint_mu_);  // one checkpointer at a time
   const auto start = std::chrono::steady_clock::now();
+
+  // --- Phase 0: rollover, before the pause so the pause does no I/O -------
+  Result<uint64_t> syslogs_mark = syslogs_->RollOver();
+  BTRIM_RETURN_IF_ERROR(syslogs_mark.status());
+  Result<uint64_t> sysimrslogs_mark = sysimrslogs_->RollOver();
+  BTRIM_RETURN_IF_ERROR(sysimrslogs_mark.status());
 
   uint64_t snapshot_ts = 0;
   int pin = -1;
@@ -255,40 +261,23 @@ Status Database::Checkpoint() {
   txn_manager_.UnpinSnapshot(pin);
   BTRIM_RETURN_IF_ERROR(status);
 
-  // --- Phase 4: opportunistic quiescent syslogs truncation ----------------
-  // Never waits: only a momentarily idle foreground pays the truncation.
-  // The pause closes the check-then-truncate race a bare active==0 probe
-  // would leave open (a transaction beginning mid-truncate could append
-  // records the truncation then discards).
-  if (txn_manager_.PauseNewTransactions(/*wait_ms=*/0)) {
-    Status trunc;
-    // Quiescent contract: no active transactions -> every logged
-    // page-store change is reflected in durable pages, so syslogs can
-    // restart. Commits may have slipped in between the phase-3 barrier and
-    // this pause, so the flush + device sync repeat inside the paused
-    // window (cheap when nothing is dirty) — truncating must never discard
-    // redo evidence for a page image that has not reached the device.
-    // Truncation also discards the winner evidence that flagged
-    // (mixed-store) IMRS commit groups are arbitrated against at recovery;
-    // the durable kCheckpoint marker in sysimrslogs tells recovery that
-    // groups before it predate this quiescent point and apply
-    // unconditionally (see recovery.cc).
-    trunc = buffer_cache_.FlushAll();
-    // Same repeat for cold placements: kColdPlace records about to be
-    // truncated are the only other evidence of rows staged since phase 3.
-    if (trunc.ok()) trunc = cold_->Flush();
-    for (const auto& dev : devices_) {
-      if (!trunc.ok()) break;
-      if (dev != nullptr) trunc = dev->Sync();
-    }
-    LogRecord marker;
-    marker.type = LogRecordType::kCheckpoint;
-    if (trunc.ok()) trunc = sysimrslogs_->AppendRecord(marker);
-    if (trunc.ok()) trunc = sysimrslogs_->SyncStorage();
-    if (trunc.ok()) trunc = syslogs_->Truncate();
-    txn_manager_.ResumeNewTransactions();
-    BTRIM_RETURN_IF_ERROR(trunc);
-  }
+  // --- Phase 4: drop what the checkpoint covers ---------------------------
+  // Safe with the end pair durable in both logs (DESIGN.md Sec. 14.3):
+  //   - The begin barrier drained the active set, so every transaction with
+  //     a syslogs record before the rollover finished (an abort rolled back
+  //     in memory) before the begin record, and phase 3 made its heap and
+  //     cold effects durable. Recovery replays syslogs from the newest
+  //     complete begin record on, so it needs none of them.
+  //   - Every sysimrslogs group before the rollover precedes the begin
+  //     record; recovery uses the kept snapshot rows instead.
+  //   - A mixed-store group committing after the begin record has its
+  //     kPsCommit after the rollover: its winner evidence is kept.
+  //   - max_cts and max_txn_id come back from the kept records; a dropped
+  //     txn id can collide with nothing.
+  // An earlier checkpoint that failed after its rollover left segments
+  // behind; they lie before this mark and go too.
+  BTRIM_RETURN_IF_ERROR(syslogs_->DropBefore(*syslogs_mark));
+  BTRIM_RETURN_IF_ERROR(sysimrslogs_->DropBefore(*sysimrslogs_mark));
 
   ckpt_.last_total_us.store(ElapsedUs(start), std::memory_order_relaxed);
   return Status::OK();

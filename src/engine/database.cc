@@ -35,8 +35,6 @@ Status Database::Init() {
   if (options_.in_memory) {
     durability.policy = DurabilityPolicy::kNoSync;
   }
-  const bool sync_on_commit =
-      durability.policy != DurabilityPolicy::kNoSync;
 
   // Logs. With a fault plan, each storage is wrapped in a FaultyLogStorage
   // decorator so the plan can script append/sync failures and crashes.
@@ -48,11 +46,9 @@ Status Database::Init() {
   };
   if (options_.in_memory) {
     syslogs_ = std::make_unique<Log>(
-        wrap_log(std::make_unique<MemLogStorage>(), "syslogs"),
-        /*sync_on_commit=*/false);
+        wrap_log(std::make_unique<MemLogStorage>(), "syslogs"));
     sysimrslogs_ = std::make_unique<Log>(
-        wrap_log(std::make_unique<MemLogStorage>(), "sysimrslogs"),
-        /*sync_on_commit=*/false);
+        wrap_log(std::make_unique<MemLogStorage>(), "sysimrslogs"));
   } else {
     Result<std::unique_ptr<FileLogStorage>> sys =
         FileLogStorage::Open(options_.data_dir + "/syslogs.wal");
@@ -60,10 +56,9 @@ Status Database::Init() {
     Result<std::unique_ptr<FileLogStorage>> imrs =
         FileLogStorage::Open(options_.data_dir + "/sysimrslogs.wal");
     if (!imrs.ok()) return imrs.status();
-    syslogs_ = std::make_unique<Log>(wrap_log(std::move(*sys), "syslogs"),
-                                     sync_on_commit);
-    sysimrslogs_ = std::make_unique<Log>(
-        wrap_log(std::move(*imrs), "sysimrslogs"), sync_on_commit);
+    syslogs_ = std::make_unique<Log>(wrap_log(std::move(*sys), "syslogs"));
+    sysimrslogs_ =
+        std::make_unique<Log>(wrap_log(std::move(*imrs), "sysimrslogs"));
   }
   syslogs_committer_ =
       std::make_unique<GroupCommitter>(syslogs_.get(), durability);
@@ -116,14 +111,10 @@ Status Database::Init() {
   gc_->SetThreadPool(background_pool_.get());
 
   // Observability: every subsystem above registers its counters into the
-  // unified registry; the sampler snapshots it on cadence or on demand.
+  // unified registry; the sampler snapshots it on demand.
   BTRIM_RETURN_IF_ERROR(RegisterAllMetrics());
-  obs::TimeSeriesSampler::Options sampler_options;
-  sampler_options.capacity = options_.metrics_sample_capacity;
-  sampler_options.interval_us = options_.metrics_sample_interval_us;
   sampler_ = std::make_unique<obs::TimeSeriesSampler>(&metrics_registry_,
-                                                      sampler_options);
-  if (sampler_options.interval_us > 0) sampler_->Start();
+                                                      /*capacity=*/512);
   return Status::OK();
 }
 
@@ -715,54 +706,6 @@ PackBatchOutcome Database::PackBatch(PartitionState* partition,
   (void)rows_moved;
   outcome.bytes_released = released;
   return outcome;
-}
-
-Result<int64_t> Database::CompactImrsLog() {
-  if (txn_manager_.ActiveCount() != 0) {
-    return Status::Busy("IMRS log compaction requires quiescence");
-  }
-  // Serialize one committed group that recreates the current IMRS exactly:
-  // a live row becomes kImrsInsert; a not-yet-purged tombstone becomes
-  // kImrsInsert + kImrsDelete so it keeps masking its page-store home.
-  std::string group;
-  int64_t records = 0;
-  rid_map_.ForEach([&](Rid rid, ImrsRow* row) {
-    if (row->HasFlag(kRowPurged) || row->HasFlag(kRowPacked)) return;
-    RowVersion* latest = ImrsStore::LatestCommitted(row);
-    if (latest == nullptr) return;
-
-    LogRecord rec;
-    rec.type = LogRecordType::kImrsInsert;
-    rec.txn_id = 0;
-    rec.table_id = row->table_id;
-    rec.partition_id = row->partition_id;
-    rec.rid = rid.Encode();
-    rec.source = static_cast<uint8_t>(row->source);
-    rec.after.assign(latest->data(), latest->data_size);
-    AppendLogRecord(&group, rec);
-    ++records;
-    if (latest->is_delete) {
-      LogRecord del;
-      del.type = LogRecordType::kImrsDelete;
-      del.txn_id = 0;
-      del.table_id = row->table_id;
-      del.partition_id = row->partition_id;
-      del.rid = rid.Encode();
-      del.before.assign(latest->data(), latest->data_size);
-      AppendLogRecord(&group, del);
-      ++records;
-    }
-  });
-  LogRecord commit;
-  commit.type = LogRecordType::kImrsCommit;
-  commit.txn_id = 0;
-  commit.cts = Now();
-  AppendLogRecord(&group, commit);
-
-  BTRIM_RETURN_IF_ERROR(sysimrslogs_->Truncate());
-  BTRIM_RETURN_IF_ERROR(sysimrslogs_->AppendGroup(group, records + 1));
-  BTRIM_RETURN_IF_ERROR(sysimrslogs_->Commit());
-  return records;
 }
 
 Result<int64_t> Database::PrewarmTable(Table* table) {

@@ -82,13 +82,6 @@ struct DatabaseOptions {
   /// partition). Checkpoints seal early regardless.
   size_t cold_segment_rows = 4096;
 
-  /// Metrics time-series sampling. `metrics_sample_interval_us > 0` starts
-  /// a background sampler thread snapshotting the registry on that cadence;
-  /// 0 leaves the sampler on-demand only (SampleNow at transaction-count
-  /// windows, which is how the bench harness drives it).
-  int64_t metrics_sample_interval_us = 0;
-  size_t metrics_sample_capacity = 512;
-
   /// Seeded fault-injection plan (tests / torture harness). When set, every
   /// device and log storage the database creates is wrapped in its faulty
   /// decorator (FaultyDevice / FaultyLogStorage) driven by this plan, so
@@ -260,27 +253,14 @@ class Database : public PackClient {
   /// snapshot-visible pre-image of any row it evicts mid-walk into a side
   /// buffer the checkpointer drains before writing the end record.
   ///
-  /// Concludes with an opportunistic quiescent syslogs truncation when no
-  /// transactions are active (the page-store log still needs quiescence to
-  /// truncate — undo of in-flight transactions lives there).
+  /// It is also what bounds both logs: it rolls them over before the begin
+  /// barrier and, once its end pair is durable, drops what precedes that.
   Status Checkpoint();
 
   /// Rebuilds page store, IMRS, and all indexes from the two logs. Call on
   /// a freshly opened database after re-creating the tables (the catalog is
   /// not persisted). Existing in-memory state must be empty.
   Status Recover();
-
-  /// Rewrites sysimrslogs as one snapshot of the current IMRS contents.
-  /// The paper never truncates the IMRS log (recovery is a full redo); this
-  /// keeps that recovery model while bounding log growth: after compaction
-  /// the log replays to exactly the current committed IMRS state. Requires
-  /// quiescence (no active transactions) — returns Busy otherwise. Returns
-  /// the number of snapshot records written.
-  ///
-  /// Durability caveat: the rewrite is truncate-then-append on the same
-  /// storage; a crash between the two loses the IMRS log (the page store is
-  /// unaffected). A production engine would write to a side file and rename.
-  Result<int64_t> CompactImrsLog();
 
   /// Pre-warms the IMRS with every page-store-resident row of `table`
   /// (the paper's Sec. X "pre-warmed IMRS caches"): rows are cached as if
@@ -309,8 +289,8 @@ class Database : public PackClient {
   /// Read a counter with metrics_registry()->Sum("pack.rows_packed").
   obs::MetricsRegistry* metrics_registry() const { return &metrics_registry_; }
 
-  /// The registry's time-series sampler (cadence thread only runs when
-  /// DatabaseOptions::metrics_sample_interval_us > 0).
+  /// The registry's time-series sampler. It samples on demand only: callers
+  /// SampleNow at transaction-count windows or on their own clock.
   obs::TimeSeriesSampler* metrics_sampler() const { return sampler_.get(); }
 
   /// Full metrics export in the stable JSON schema
@@ -544,8 +524,7 @@ class Database : public PackClient {
   mutable ShardedCounter imrs_ops_, page_ops_;
 
   // Observability. The registry only holds pointers into the subsystems
-  // above; the sampler is declared last so its cadence thread is joined
-  // before anything it reads through the registry is destroyed.
+  // above; the sampler reads them only inside SampleNow.
   mutable obs::MetricsRegistry metrics_registry_;
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;
 };

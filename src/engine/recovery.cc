@@ -3,7 +3,9 @@
 //
 // The two logs are recovered with lock-step ordering:
 //
-//   1. syslogs, undo-redo: an analysis pass finds winner transactions
+//   1. syslogs, undo-redo, from the newest complete checkpoint's begin
+//      record on (DESIGN.md Sec. 14.3: what precedes it is durable, and
+//      its drop may have cut it short). An analysis pass finds winners
 //      (those with a kPsCommit record); an undo pass rolls back losers'
 //      changes in reverse order using before-images; a redo pass then
 //      re-applies winners' changes in log order. All physical operations
@@ -34,14 +36,12 @@
 //      pair, every committed group replays from the start, exactly the
 //      pre-checkpoint behavior.
 //
-//      Cross-log arbitration (unchanged): a group whose kImrsCommit
-//      carries the has-page-store-changes flag (source != 0) committed in
-//      two steps — sysimrslogs group first, syslogs kPsCommit second — and
-//      a crash can land between them. Such a group only applies if its
-//      transaction is a syslogs winner; otherwise both halves roll back
-//      together. Flagged groups older than the last kCheckpoint marker
-//      (written at quiescent syslogs truncations, which erase the winner
-//      evidence) apply unconditionally.
+//      Cross-log arbitration: a group whose kImrsCommit carries the
+//      has-page-store-changes flag (source != 0) committed in two steps —
+//      sysimrslogs group first, syslogs kPsCommit second — and a crash can
+//      land between them. Such a group only applies if its transaction is a
+//      syslogs winner; otherwise both halves roll back together. Its
+//      kPsCommit follows the begin record too, so no drop removes it.
 //
 //   3. Sharded application: both logs' physical appliers partition cleanly
 //      by RID (value logging; no cross-row dependencies), so replay fans
@@ -62,6 +62,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -139,20 +140,35 @@ Status Database::Recover() {
   // Tables (and so schemas) were re-created by the caller before Recover().
   // The segment file is the checkpointed base state; kColdPlace/kColdErase
   // records in syslogs carry the post-flush delta and replay on top of it
-  // below (checkpoint.cc flushes the cold store before every truncation, so
+  // below (checkpoint.cc flushes the cold store before every end record, so
   // between the two sources every live cold row is covered).
   BTRIM_RETURN_IF_ERROR(cold_->Load());
 
   // --- syslogs pass 1: analysis (serial) ------------------------------------
   std::unordered_map<uint64_t, uint64_t> winners;  // txn -> cts
-  std::array<std::vector<LogRecord>, kRecoveryShards> ps_shards;
+  std::vector<LogRecord> ps_ops;
   // Cold ops replay serially: segment sealing inside ColdStore::Place makes
   // per-shard fan-out not worth the synchronization, and cold volumes are a
   // small fraction of a batch's records.
   std::vector<LogRecord> cold_ops;
+  // Record counts at the open kCheckpointBegin, and at the begin of the
+  // newest complete pair, where undo and redo start.
+  struct Cut {
+    size_t ps = 0, cold = 0;
+    uint64_t cts = 0;
+  };
+  std::optional<Cut> open;
+  Cut start;
   BTRIM_RETURN_IF_ERROR(syslogs_->Replay([&](const LogRecord& rec) {
     if (rec.txn_id > max_txn_id) max_txn_id = rec.txn_id;
     switch (rec.type) {
+      case LogRecordType::kCheckpointBegin:
+        open = Cut{ps_ops.size(), cold_ops.size(), rec.cts};
+        break;
+      case LogRecordType::kCheckpointEnd:
+        if (open.has_value() && open->cts == rec.cts) start = *open;
+        open.reset();
+        break;
       case LogRecordType::kPsCommit:
         winners[rec.txn_id] = rec.cts;
         if (rec.cts > max_cts) max_cts = rec.cts;
@@ -160,17 +176,23 @@ Status Database::Recover() {
       case LogRecordType::kPsInsert:
       case LogRecordType::kPsUpdate:
       case LogRecordType::kPsDelete:
-        ps_shards[ShardForRid(rec.rid)].push_back(rec);
+        ps_ops.push_back(rec);
         break;
       case LogRecordType::kColdPlace:
       case LogRecordType::kColdErase:
         cold_ops.push_back(rec);
         break;
       default:
-        break;  // aborts/checkpoint markers carry no work
+        break;  // aborts carry no work
     }
     return true;
   }));
+  std::array<std::vector<LogRecord>, kRecoveryShards> ps_shards;
+  for (size_t i = start.ps; i < ps_ops.size(); ++i) {
+    ps_shards[ShardForRid(ps_ops[i].rid)].push_back(std::move(ps_ops[i]));
+  }
+  ps_ops = std::vector<LogRecord>();
+  cold_ops.erase(cold_ops.begin(), cold_ops.begin() + start.cold);
 
   // --- syslogs passes 2+3: sharded undo-then-redo ---------------------------
   // Sharding by RID keeps every record of one RID in one shard in log
@@ -299,7 +321,7 @@ Status Database::Recover() {
     BTRIM_RETURN_IF_ERROR(cold_status);
   }
 
-  // --- sysimrslogs pass 1: collect groups, markers, checkpoints (serial) ----
+  // --- sysimrslogs pass 1: collect groups and checkpoints (serial) ---------
   struct Group {
     uint64_t cts = 0;
     uint8_t source = 0;
@@ -310,7 +332,6 @@ Status Database::Recover() {
   std::vector<Group> groups;                       // committed, in log order
   std::unordered_map<uint64_t, std::vector<LogRecord>> pending;
   std::unordered_map<uint64_t, std::vector<LogRecord>> snapshots;  // by epoch
-  int64_t last_marker = -1;
   // Complete begin/end pairs. checkpoint_mu_ serializes checkpointers, so
   // pairs never nest; a begin superseded by a newer begin (its checkpoint
   // died before the end record) is simply forgotten.
@@ -325,8 +346,7 @@ Status Database::Recover() {
       ++ordinal;
       switch (rec.type) {
         case LogRecordType::kCheckpoint:
-          last_marker = ordinal;
-          break;
+          break;  // no longer written; carries nothing to replay
         case LogRecordType::kCheckpointBegin:
           open_begin_ordinal = ordinal;
           open_begin_ts = rec.cts;
@@ -398,11 +418,8 @@ Status Database::Recover() {
     // snapshot; their effects arrive via the snapshot rows above.
     if (have_checkpoint && g.commit_ordinal < chosen_begin_ordinal) continue;
     // Cross-log arbitration (see the file comment): mixed-store groups
-    // after the last quiescent marker need their syslogs commit too.
-    if (g.source != 0 && g.commit_ordinal > last_marker &&
-        winners.find(g.txn_id) == winners.end()) {
-      continue;
-    }
+    // need their syslogs commit too.
+    if (g.source != 0 && winners.find(g.txn_id) == winners.end()) continue;
     for (const LogRecord& op : g.ops) {
       imrs_shards[ShardForRid(op.rid)].push_back(
           ImrsOp{&op, g.cts, /*from_snapshot=*/false});
@@ -567,15 +584,15 @@ Status Database::Recover() {
 
   // --- restore allocation cursors (serial merge, before any heap scan) ------
   // The cursor must cover every RID named in a log or snapshot record and
-  // every occupied slot of the durable page images: a checkpoint truncates
-  // syslogs, so checkpointed rows' RIDs survive only as page contents or
+  // every occupied slot of the durable page images: a checkpoint drops the
+  // log prefix, so checkpointed rows' RIDs survive only as page contents or
   // snapshot rows, and a cursor short of them would re-issue their RIDs
   // (overwriting durable rows) and hide them from the index-rebuild scan
   // below.
   CursorTracker cursors;
   for (const CursorTracker& shard : shard_cursors) cursors.Merge(shard);
   // Cold rows' heap slots are vacated at pack, so MaxDurableRow cannot see
-  // them, and after a truncation their rids survive only in the segment
+  // them, and after a drop their rids survive only in the segment
   // file — sweep the cold index so AllocateRid never re-issues them.
   cold_->ForEachRid([&](Rid rid) {
     Rid decoded;

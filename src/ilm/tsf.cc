@@ -49,25 +49,16 @@ void TsfLearner::Observe(uint64_t now, int64_t used_bytes,
   observing_ = false;
 }
 
-TsfStats TsfLearner::GetStats() const {
-  SpinLockGuard guard(mu_);
-  TsfStats s;
-  s.tau = tau_.load(std::memory_order_relaxed);
-  s.learn_cycles = learn_cycles_;
-  s.last_learn_ts = last_learn_ts_;
-  return s;
-}
-
 Status TsfLearner::RegisterMetrics(obs::MetricsRegistry* registry,
                                    const std::string& subsystem) const {
   const obs::MetricLabels l{subsystem, "", "", ""};
   BTRIM_RETURN_IF_ERROR(registry->RegisterGaugeFn(
       "tsf.tau", l, [this] { return static_cast<int64_t>(Tau()); }));
   BTRIM_RETURN_IF_ERROR(registry->RegisterGaugeFn(
-      "tsf.learn_cycles", l, [this] { return GetStats().learn_cycles; }));
+      "tsf.learn_cycles", l, [this] { return learn_cycles(); }));
   BTRIM_RETURN_IF_ERROR(registry->RegisterGaugeFn(
       "tsf.last_learn_ts", l,
-      [this] { return static_cast<int64_t>(GetStats().last_learn_ts); }));
+      [this] { return static_cast<int64_t>(last_learn_ts()); }));
   return Status::OK();
 }
 

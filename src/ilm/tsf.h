@@ -16,13 +16,6 @@ namespace obs {
 class MetricsRegistry;
 }  // namespace obs
 
-/// TSF observability snapshot.
-struct TsfStats {
-  uint64_t tau = 0;            ///< current filter value Ʈ
-  int64_t learn_cycles = 0;    ///< completed learning observations
-  uint64_t last_learn_ts = 0;  ///< commit-ts of the last completed learning
-};
-
 /// The timestamp filter learner (paper Sec. VI.D).
 ///
 /// Ʈ approximates the number of transactions (commit-timestamp ticks) it
@@ -64,7 +57,10 @@ class TsfLearner {
     return now - row_last_access <= tau;
   }
 
-  TsfStats GetStats() const;
+  /// Completed learning observations.
+  int64_t learn_cycles() const { return learn_cycles_.load(); }
+  /// Commit-ts of the last completed learning (0 before the first).
+  uint64_t last_learn_ts() const { return last_learn_ts_.load(); }
 
   /// Registers the filter value and learning progress as derived gauges
   /// into the unified metrics registry under `tsf.*`.
@@ -85,8 +81,9 @@ class TsfLearner {
   bool observing_ BTRIM_GUARDED_BY(mu_) = false;
   uint64_t ts0_ BTRIM_GUARDED_BY(mu_) = 0;
   int64_t util0_ BTRIM_GUARDED_BY(mu_) = 0;
-  uint64_t last_learn_ts_ BTRIM_GUARDED_BY(mu_) = 0;
-  int64_t learn_cycles_ BTRIM_GUARDED_BY(mu_) = 0;
+  // Written under mu_; read lock-free by the accessors, like tau_.
+  std::atomic<uint64_t> last_learn_ts_{0};
+  std::atomic<int64_t> learn_cycles_{0};
 };
 
 }  // namespace btrim

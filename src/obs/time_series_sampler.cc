@@ -7,14 +7,12 @@ namespace btrim {
 namespace obs {
 
 TimeSeriesSampler::TimeSeriesSampler(const MetricsRegistry* registry,
-                                     Options options)
+                                     size_t capacity)
     : registry_(registry),
-      options_(options),
+      capacity_(capacity),
       epoch_(std::chrono::steady_clock::now()) {
-  ring_.reserve(options_.capacity);
+  ring_.reserve(capacity_);
 }
-
-TimeSeriesSampler::~TimeSeriesSampler() { Stop(); }
 
 int64_t TimeSeriesSampler::NowUs() const {
   if (clock_) return clock_();
@@ -38,7 +36,7 @@ int64_t TimeSeriesSampler::SampleNow(int64_t marker) {
   s.wall_us = NowUs();
   s.marker = marker;
   s.metrics = std::move(metrics);
-  const size_t slot = static_cast<size_t>(s.seq) % options_.capacity;
+  const size_t slot = static_cast<size_t>(s.seq) % capacity_;
   if (ring_.size() <= slot) {
     ring_.resize(slot + 1);
   }
@@ -50,11 +48,11 @@ std::vector<TimeSeriesSampler::Sample> TimeSeriesSampler::Samples() const {
   MutexGuard guard(mu_);
   std::vector<Sample> out;
   const int64_t taken = next_seq_.load(std::memory_order_relaxed);
-  const int64_t capacity = static_cast<int64_t>(options_.capacity);
+  const int64_t capacity = static_cast<int64_t>(capacity_);
   const int64_t first = taken > capacity ? taken - capacity : 0;
   out.reserve(static_cast<size_t>(taken - first));
   for (int64_t seq = first; seq < taken; ++seq) {
-    out.push_back(ring_[static_cast<size_t>(seq) % options_.capacity]);
+    out.push_back(ring_[static_cast<size_t>(seq) % capacity_]);
   }
   return out;
 }
@@ -76,48 +74,6 @@ std::string TimeSeriesSampler::ToJson() const {
   }
   out.push_back(']');
   return out;
-}
-
-void TimeSeriesSampler::Start() {
-  if (options_.interval_us <= 0) return;
-  MutexGuard guard(thread_mu_);
-  if (thread_.joinable()) return;
-  stop_requested_ = false;
-  thread_ = std::thread([this] { CadenceLoop(); });
-}
-
-void TimeSeriesSampler::Stop() {
-  std::thread to_join;
-  {
-    MutexGuard guard(thread_mu_);
-    if (!thread_.joinable()) return;
-    stop_requested_ = true;
-    to_join = std::move(thread_);
-  }
-  thread_cv_.NotifyAll();
-  to_join.join();
-}
-
-void TimeSeriesSampler::CadenceLoop() {
-  for (;;) {
-    {
-      MutexGuard guard(thread_mu_);
-      // One interval per lap; Stop() interrupts the wait immediately.
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(options_.interval_us);
-      while (!stop_requested_) {
-        if (thread_cv_.WaitUntil(guard, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-      if (stop_requested_) return;
-    }
-    // Sample with thread_mu_ released: SampleNow takes the ring mutex and
-    // evaluates registry callbacks, neither of which should serialize
-    // against Start()/Stop().
-    SampleNow(-1);
-  }
 }
 
 }  // namespace obs

@@ -14,14 +14,10 @@ Rid HeapFile::AllocateRid() {
 }
 
 Status HeapFile::Place(Rid rid, Slice payload, bool* contended) {
-  writes_.Inc();
   Result<PageGuard> guard =
       cache_->FixPage(rid.page_id(), LatchMode::kExclusive);
   if (!guard.ok()) return guard.status();
-  if (guard->contended()) {
-    contention_.Inc();
-    if (contended != nullptr) *contended = true;
-  }
+  if (guard->contended() && contended != nullptr) *contended = true;
   SlottedPage page(guard->data());
   if (!page.IsInitialized()) {
     page.Init();
@@ -39,13 +35,9 @@ Result<Rid> HeapFile::Insert(Slice payload) {
 }
 
 Status HeapFile::Read(Rid rid, std::string* out, bool* contended) {
-  reads_.Inc();
   Result<PageGuard> guard = cache_->FixPage(rid.page_id(), LatchMode::kShared);
   if (!guard.ok()) return guard.status();
-  if (guard->contended()) {
-    contention_.Inc();
-    if (contended != nullptr) *contended = true;
-  }
+  if (guard->contended() && contended != nullptr) *contended = true;
   SlottedPage page(guard->data());
   if (!page.IsInitialized()) {
     return Status::NotFound("page not materialized");
@@ -57,14 +49,10 @@ Status HeapFile::Read(Rid rid, std::string* out, bool* contended) {
 }
 
 Status HeapFile::Update(Rid rid, Slice payload, bool* contended) {
-  writes_.Inc();
   Result<PageGuard> guard =
       cache_->FixPage(rid.page_id(), LatchMode::kExclusive);
   if (!guard.ok()) return guard.status();
-  if (guard->contended()) {
-    contention_.Inc();
-    if (contended != nullptr) *contended = true;
-  }
+  if (guard->contended() && contended != nullptr) *contended = true;
   SlottedPage page(guard->data());
   if (!page.IsInitialized()) {
     return Status::NotFound("page not materialized");
@@ -75,14 +63,10 @@ Status HeapFile::Update(Rid rid, Slice payload, bool* contended) {
 }
 
 Status HeapFile::Delete(Rid rid, bool* contended) {
-  writes_.Inc();
   Result<PageGuard> guard =
       cache_->FixPage(rid.page_id(), LatchMode::kExclusive);
   if (!guard.ok()) return guard.status();
-  if (guard->contended()) {
-    contention_.Inc();
-    if (contended != nullptr) *contended = true;
-  }
+  if (guard->contended() && contended != nullptr) *contended = true;
   SlottedPage page(guard->data());
   if (!page.IsInitialized()) {
     return Status::NotFound("page not materialized");
@@ -140,10 +124,6 @@ Result<uint64_t> HeapFile::MaxDurableRow(uint32_t device_pages) {
 uint32_t HeapFile::AllocatedPages() const {
   const uint64_t rows = next_row_.load(std::memory_order_relaxed);
   return static_cast<uint32_t>((rows + slots_per_page_ - 1) / slots_per_page_);
-}
-
-HeapFileStats HeapFile::GetStats() const {
-  return HeapFileStats{reads_.Load(), writes_.Load(), contention_.Load()};
 }
 
 }  // namespace btrim

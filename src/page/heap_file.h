@@ -6,20 +6,12 @@
 #include <functional>
 #include <string>
 
-#include "common/counters.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "page/buffer_cache.h"
 #include "page/page.h"
 
 namespace btrim {
-
-/// Heap-file traffic counters, used by ILM partition metrics.
-struct HeapFileStats {
-  int64_t reads = 0;
-  int64_t writes = 0;   // inserts + updates + deletes
-  int64_t contention_events = 0;
-};
 
 /// A page-store heap for one partition.
 ///
@@ -95,13 +87,11 @@ class HeapFile {
   /// Scans the first `device_pages` pages (through the buffer cache) and
   /// returns the highest occupied row index + 1, or 0 when every slot is
   /// empty. Recovery uses this to lower-bound the allocation cursor by the
-  /// durable page images: after a checkpoint truncates syslogs, the
+  /// durable page images: after a checkpoint drops the syslogs prefix, the
   /// checkpointed rows' RIDs appear in no log record, and a cursor restored
   /// from logs alone would both re-issue those RIDs to new inserts
   /// (silently overwriting durable rows) and stop ScanAll short of them.
   Result<uint64_t> MaxDurableRow(uint32_t device_pages);
-
-  HeapFileStats GetStats() const;
 
  private:
   Rid RidForRow(uint64_t row) const {
@@ -113,8 +103,6 @@ class HeapFile {
   BufferCache* const cache_;
   const uint16_t slots_per_page_;
   std::atomic<uint64_t> next_row_{0};
-
-  mutable ShardedCounter reads_, writes_, contention_;
 };
 
 }  // namespace btrim

@@ -8,8 +8,10 @@ namespace {
 /// Instant trace event for an injected log fault (arg1 = FaultOutcome).
 void TraceFault(FaultOp op, FaultOutcome outcome) {
   if (outcome == FaultOutcome::kNone) return;
-  const char* name =
-      op == FaultOp::kAppend ? "fault_log_append" : "fault_log_sync";
+  const char* name = op == FaultOp::kAppend     ? "fault_log_append"
+                     : op == FaultOp::kRollOver ? "fault_log_rollover"
+                     : op == FaultOp::kDrop     ? "fault_log_drop"
+                                                : "fault_log_sync";
   obs::TraceRing::Global()->Record(name, "fault", 0,
                                    static_cast<int64_t>(outcome));
 }
@@ -58,11 +60,10 @@ Status FaultyLogStorage::Append(Slice data) {
   return Status::OK();
 }
 
-Status FaultyLogStorage::Sync() {
-  MutexGuard guard(mu_);
+Status FaultyLogStorage::PushTailLocked(FaultOp op) {
   if (plan_->crashed()) return FaultPlan::CrashedError();
-  const FaultOutcome outcome = plan_->OnOp(target_, FaultOp::kSync);
-  TraceFault(FaultOp::kSync, outcome);
+  const FaultOutcome outcome = plan_->OnOp(target_, op);
+  TraceFault(op, outcome);
   switch (outcome) {
     case FaultOutcome::kCrash:
       // Crash mid-fsync: part of the tail may have reached the device.
@@ -73,7 +74,7 @@ Status FaultyLogStorage::Sync() {
       // fsyncgate semantics: the failure leaves durability indeterminate;
       // the tail stays pending and the Log layer must poison itself so a
       // later sync cannot retroactively commit it.
-      return FaultPlan::InjectedError(target_, FaultOp::kSync);
+      return FaultPlan::InjectedError(target_, op);
     case FaultOutcome::kNone:
       break;
   }
@@ -81,6 +82,12 @@ Status FaultyLogStorage::Sync() {
     BTRIM_RETURN_IF_ERROR(inner_->Append(Slice(tail_)));
     tail_.clear();
   }
+  return Status::OK();
+}
+
+Status FaultyLogStorage::Sync() {
+  MutexGuard guard(mu_);
+  BTRIM_RETURN_IF_ERROR(PushTailLocked(FaultOp::kSync));
   return inner_->Sync();
 }
 
@@ -92,11 +99,22 @@ Status FaultyLogStorage::ReadAll(std::string* out) {
   return Status::OK();
 }
 
-Status FaultyLogStorage::Truncate() {
+Result<uint64_t> FaultyLogStorage::RollOver() {
+  MutexGuard guard(mu_);
+  BTRIM_RETURN_IF_ERROR(PushTailLocked(FaultOp::kRollOver));
+  return inner_->RollOver();
+}
+
+Status FaultyLogStorage::DropBefore(uint64_t mark) {
   MutexGuard guard(mu_);
   if (plan_->crashed()) return FaultPlan::CrashedError();
-  tail_.clear();
-  return inner_->Truncate();
+  const FaultOutcome outcome = plan_->OnOp(target_, FaultOp::kDrop);
+  TraceFault(FaultOp::kDrop, outcome);
+  if (outcome == FaultOutcome::kCrash) return FaultPlan::CrashedError();
+  if (outcome != FaultOutcome::kNone) {
+    return FaultPlan::InjectedError(target_, FaultOp::kDrop);
+  }
+  return inner_->DropBefore(mark);
 }
 
 int64_t FaultyLogStorage::Size() const {

@@ -24,6 +24,8 @@ namespace btrim {
 /// A torn *append* fault keeps a seeded prefix of the new bytes in the tail
 /// and reports IOError; the Log layer reacts by poisoning itself, so the
 /// garbage can never be followed by valid records.
+/// RollOver pushes the tail down like Sync (a crash there tears it); it and
+/// DropBefore each consult the plan once. A failed drop drops nothing.
 class FaultyLogStorage : public LogStorage {
  public:
   FaultyLogStorage(std::unique_ptr<LogStorage> inner,
@@ -32,7 +34,8 @@ class FaultyLogStorage : public LogStorage {
   Status Append(Slice data) override;
   Status Sync() override;
   Status ReadAll(std::string* out) override;
-  Status Truncate() override;
+  Result<uint64_t> RollOver() override;
+  Status DropBefore(uint64_t mark) override;
   int64_t Size() const override;
 
   /// Bytes appended since the last successful sync (test introspection).
@@ -42,6 +45,10 @@ class FaultyLogStorage : public LogStorage {
   /// Flushes a seeded prefix of the pending tail to the inner storage
   /// (crash-time torn tail).
   void FlushTornTailLocked() BTRIM_REQUIRES(mu_);
+
+  /// Consults the plan for `op` (kSync or kRollOver) and moves the pending
+  /// tail to the inner storage: Sync's and RollOver's shared first step.
+  Status PushTailLocked(FaultOp op) BTRIM_REQUIRES(mu_);
 
   std::unique_ptr<LogStorage> const inner_;
   const std::shared_ptr<FaultPlan> plan_;

@@ -5,7 +5,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 
 #include "obs/metrics_registry.h"
 
@@ -15,22 +18,20 @@ namespace btrim {
 
 Status MemLogStorage::Append(Slice data) {
   MutexGuard guard(mu_);
-  size_t size = static_cast<size_t>(size_.load(std::memory_order_relaxed));
   const char* p = data.data();
   size_t left = data.size();
   while (left > 0) {
-    const size_t offset = size % kChunkBytes;
+    const size_t offset = end_ % kChunkBytes;
     if (offset == 0) {
-      // Not zero-filled: every byte below size_ is written before it is read.
+      // Not zero-filled: every byte below end_ is written before it is read.
       chunks_.push_back(std::unique_ptr<char[]>(new char[kChunkBytes]));
     }
     const size_t n = std::min(left, kChunkBytes - offset);
     memcpy(chunks_.back().get() + offset, p, n);
     p += n;
     left -= n;
-    size += n;
+    end_ += n;
   }
-  size_.store(static_cast<int64_t>(size), std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -38,53 +39,116 @@ Status MemLogStorage::Sync() { return Status::OK(); }
 
 Status MemLogStorage::ReadAll(std::string* out) {
   MutexGuard guard(mu_);
-  size_t left = static_cast<size_t>(size_.load(std::memory_order_relaxed));
   out->clear();
-  out->reserve(left);
-  for (const auto& chunk : chunks_) {
-    const size_t n = std::min(left, kChunkBytes);
-    out->append(chunk.get(), n);
-    left -= n;
+  out->reserve(end_ - start_);
+  for (uint64_t pos = start_; pos < end_;) {
+    const char* chunk = chunks_[pos / kChunkBytes - start_ / kChunkBytes].get();
+    const size_t n =
+        std::min<uint64_t>(end_ - pos, kChunkBytes - pos % kChunkBytes);
+    out->append(chunk + pos % kChunkBytes, n);
+    pos += n;
   }
   return Status::OK();
 }
 
-Status MemLogStorage::Truncate() {
+Result<uint64_t> MemLogStorage::RollOver() {
   MutexGuard guard(mu_);
-  chunks_.clear();
-  size_.store(0, std::memory_order_relaxed);
+  return end_;
+}
+
+Status MemLogStorage::DropBefore(uint64_t mark) {
+  MutexGuard guard(mu_);
+  const uint64_t start = std::min(mark, end_);
+  if (start <= start_) return Status::OK();
+  chunks_.erase(chunks_.begin(),
+                chunks_.begin() + (start / kChunkBytes - start_ / kChunkBytes));
+  start_ = start;
   return Status::OK();
 }
 
 int64_t MemLogStorage::Size() const {
-  return size_.load(std::memory_order_relaxed);
+  MutexGuard guard(mu_);
+  return static_cast<int64_t>(end_ - start_);
 }
 
 // --- FileLogStorage ---------------------------------------------------------
 
-Result<std::unique_ptr<FileLogStorage>> FileLogStorage::Open(
-    const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    return Status::IOError("open " + path + ": " + strerror(errno));
-  }
-  struct stat st;
-  if (fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status::IOError("fstat " + path + ": " + strerror(errno));
-  }
-  auto storage =
-      std::unique_ptr<FileLogStorage>(new FileLogStorage(fd, path));
-  storage->size_.store(st.st_size, std::memory_order_relaxed);
-  return storage;
+namespace {
+
+/// fsyncs the directory holding `path`, making renames, creations and
+/// unlinks in it durable.
+Status SyncDirOf(const std::string& path) {
+  const std::string dir = std::filesystem::path(path).parent_path().string();
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return Status::IOError("open " + dir + ": " + strerror(errno));
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0) return Status::IOError("fsync " + dir + ": " + strerror(err));
+  return Status::OK();
 }
 
-FileLogStorage::FileLogStorage(int fd, std::string path)
-    : fd_(fd), path_(std::move(path)) {}
+Status AppendFile(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in.tellg();
+  const size_t base = out->size();
+  out->resize(base + static_cast<size_t>(std::max<std::streamoff>(size, 0)));
+  if (!in.seekg(0) || !in.read(out->data() + base, size)) {
+    return Status::IOError("read " + path);
+  }
+  return Status::OK();
+}
 
-FileLogStorage::~FileLogStorage() { ::close(fd_); }
+}  // namespace
+
+std::string FileLogStorage::ArchivePath(uint64_t number) const {
+  std::filesystem::path p(path_);  // syslogs.wal -> syslogs.<number>.wal
+  return p.replace_extension(std::to_string(number) + p.extension().string());
+}
+
+Result<std::unique_ptr<FileLogStorage>> FileLogStorage::Open(
+    const std::string& path) {
+  const std::string abs = std::filesystem::absolute(path).string();
+  auto s = std::unique_ptr<FileLogStorage>(new FileLogStorage(abs));
+  MutexGuard guard(s->mu_);
+  RwSpinLockWriteGuard append_guard(s->append_latch_);
+  const auto dir = std::filesystem::path(s->path_).parent_path();
+  std::error_code ec;
+  for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string ext = e.path().stem().extension().string();  // ".<n>"
+    const uint64_t number =
+        std::strtoull(ext.c_str() + !ext.empty(), nullptr, 10);
+    if (e.path() != s->ArchivePath(number)) continue;  // not an archive
+    const uintmax_t bytes = e.file_size(ec);
+    if (ec) break;
+    s->archives_.emplace_back(number, static_cast<int64_t>(bytes));
+  }
+  if (ec) return Status::IOError("list " + s->path_ + ": " + ec.message());
+  std::sort(s->archives_.begin(), s->archives_.end());
+  if (!s->archives_.empty()) s->next_archive_ = s->archives_.back().first + 1;
+  BTRIM_RETURN_IF_ERROR(s->OpenActive());
+  return s;
+}
+
+Status FileLogStorage::OpenActive() {
+  const int fd = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
+  struct stat st;
+  if (fd < 0 || fstat(fd, &st) != 0) {
+    const int err = errno;
+    if (fd >= 0) ::close(fd);
+    return Status::IOError("open " + path_ + ": " + strerror(err));
+  }
+  fd_ = fd;
+  active_bytes_.store(st.st_size);
+  return Status::OK();
+}
+
+FileLogStorage::~FileLogStorage() {
+  if (fd_ >= 0) ::close(fd_);
+}
 
 Status FileLogStorage::Append(Slice data) {
+  RwSpinLockReadGuard guard(append_latch_);  // excludes only a rollover
   const char* p = data.data();
   size_t left = data.size();
   while (left > 0) {
@@ -96,12 +160,12 @@ Status FileLogStorage::Append(Slice data) {
     p += n;
     left -= static_cast<size_t>(n);
   }
-  size_.fetch_add(static_cast<int64_t>(data.size()),
-                  std::memory_order_relaxed);
+  active_bytes_.fetch_add(static_cast<int64_t>(data.size()));
   return Status::OK();
 }
 
 Status FileLogStorage::Sync() {
+  MutexGuard guard(mu_);
   if (::fdatasync(fd_) != 0) {
     return Status::IOError("fdatasync " + path_ + ": " + strerror(errno));
   }
@@ -109,39 +173,72 @@ Status FileLogStorage::Sync() {
 }
 
 Status FileLogStorage::ReadAll(std::string* out) {
-  const int64_t size = size_.load(std::memory_order_relaxed);
-  out->resize(static_cast<size_t>(size));
-  int64_t off = 0;
-  while (off < size) {
-    const ssize_t n =
-        ::pread(fd_, out->data() + off, static_cast<size_t>(size - off), off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("pread " + path_ + ": " + strerror(errno));
-    }
-    if (n == 0) break;
-    off += n;
+  MutexGuard guard(mu_);
+  RwSpinLockWriteGuard append_guard(append_latch_);
+  out->clear();
+  for (const auto& [number, bytes] : archives_) {
+    BTRIM_RETURN_IF_ERROR(AppendFile(ArchivePath(number), out));
   }
-  out->resize(static_cast<size_t>(off));
-  return Status::OK();
+  return AppendFile(path_, out);
 }
 
-Status FileLogStorage::Truncate() {
-  if (::ftruncate(fd_, 0) != 0) {
-    return Status::IOError("ftruncate " + path_ + ": " + strerror(errno));
+Result<uint64_t> FileLogStorage::RollOver() {
+  MutexGuard guard(mu_);  // a Sync must not reach only the new segment
+  const std::string archive = ArchivePath(next_archive_);
+  const int old_fd = fd_;
+  {
+    // Appends wait for the rename and the open, never for an fsync.
+    RwSpinLockWriteGuard append_guard(append_latch_);
+    if (::rename(path_.c_str(), archive.c_str()) != 0) {
+      return Status::IOError("rename " + path_ + ": " + strerror(errno));
+    }
+    archives_.emplace_back(next_archive_++, active_bytes_.load());
+    // On failure fd_ stays the renamed segment and the Log poisons itself.
+    BTRIM_RETURN_IF_ERROR(OpenActive());
   }
-  size_.store(0, std::memory_order_relaxed);
+  // Every byte appended before the rollover is in the old segment. Syncing
+  // it here means a later Sync, which reaches only the new segment, still
+  // covers them.
+  const int rc = ::fdatasync(old_fd);
+  const int err = errno;
+  ::close(old_fd);
+  if (rc != 0) {
+    return Status::IOError("fdatasync " + archive + ": " + strerror(err));
+  }
+  BTRIM_RETURN_IF_ERROR(SyncDirOf(path_));  // the rename and the new file
+  return next_archive_;
+}
+
+Status FileLogStorage::DropBefore(uint64_t mark) {
+  // Oldest first, each unlink durable before the next: a crash mid-drop
+  // leaves a contiguous suffix. An archive whose unlink fails stays on disk
+  // for the next Open to find, and a later drop to remove.
+  for (;;) {
+    std::string archive;
+    {
+      MutexGuard guard(mu_);
+      if (archives_.empty() || archives_.front().first >= mark) break;
+      archive = ArchivePath(archives_.front().first);
+      archives_.pop_front();
+    }
+    if (::unlink(archive.c_str()) != 0 && errno != ENOENT) {
+      return Status::IOError("unlink " + archive + ": " + strerror(errno));
+    }
+    BTRIM_RETURN_IF_ERROR(SyncDirOf(path_));
+  }
   return Status::OK();
 }
 
 int64_t FileLogStorage::Size() const {
-  return size_.load(std::memory_order_relaxed);
+  MutexGuard guard(mu_);
+  int64_t size = active_bytes_.load();
+  for (const auto& archive : archives_) size += archive.second;
+  return size;
 }
 
 // --- Log --------------------------------------------------------------------
 
-Log::Log(std::unique_ptr<LogStorage> storage, bool sync_on_commit)
-    : storage_(std::move(storage)), sync_on_commit_(sync_on_commit) {}
+Log::Log(std::unique_ptr<LogStorage> storage) : storage_(std::move(storage)) {}
 
 Status Log::AppendRecord(const LogRecord& rec, std::string* scratch) {
   scratch->clear();
@@ -177,7 +274,6 @@ Status Log::AppendSerialized(Slice data, int64_t record_count,
 }
 
 Status Log::Commit() {
-  if (!sync_on_commit_) return Status::OK();
   BTRIM_RETURN_IF_ERROR(CheckPoisoned());
   if (synced_seq_.load(std::memory_order_acquire) >=
       append_seq_.load(std::memory_order_acquire)) {
@@ -188,9 +284,23 @@ Status Log::Commit() {
 }
 
 Status Log::SyncStorage() {
+  return SyncWith([this] { return storage_->Sync(); });
+}
+
+Result<uint64_t> Log::RollOver() {
+  uint64_t mark = 0;
+  BTRIM_RETURN_IF_ERROR(SyncWith([&] {
+    Result<uint64_t> r = storage_->RollOver();
+    if (r.ok()) mark = *r;
+    return r.status();
+  }));
+  return mark;
+}
+
+Status Log::SyncWith(const std::function<Status()>& sync) {
   BTRIM_RETURN_IF_ERROR(CheckPoisoned());
   const uint64_t target = append_seq_.load(std::memory_order_acquire);
-  Status s = storage_->Sync();
+  Status s = sync();
   if (!s.ok()) {
     sync_failures_.Inc();
     Poison(s);
@@ -232,11 +342,12 @@ Status Log::Replay(const std::function<bool(const LogRecord&)>& fn) {
   }
 }
 
-Status Log::Truncate() {
-  // A poisoned log stays unusable: truncating it would discard the evidence
-  // of what is (or is not) durable without making the tail trustworthy.
+Status Log::DropBefore(uint64_t mark) {
+  // A poisoned log stays unusable: dropping from it would discard the
+  // evidence of what is (or is not) durable without making the tail
+  // trustworthy.
   BTRIM_RETURN_IF_ERROR(CheckPoisoned());
-  return storage_->Truncate();
+  return storage_->DropBefore(mark);
 }
 
 Status Log::RegisterMetrics(obs::MetricsRegistry* registry,

@@ -3,10 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/counters.h"
 #include "common/mutex.h"
@@ -21,14 +21,23 @@ namespace obs {
 class MetricsRegistry;
 }  // namespace obs
 
-/// Byte-oriented append-only storage backing a transaction log.
+/// Byte-oriented append-only storage backing a transaction log: a sequence
+/// of segments of which only the newest takes appends. A checkpoint bounds
+/// the log with RollOver and DropBefore (DESIGN.md Sec. 14.3).
 class LogStorage {
  public:
   virtual ~LogStorage() = default;
   virtual Status Append(Slice data) = 0;
   virtual Status Sync() = 0;
+  /// Every retained byte, oldest segment first.
   virtual Status ReadAll(std::string* out) = 0;
-  virtual Status Truncate() = 0;
+  /// Makes every byte appended so far durable and starts a new segment; an
+  /// append lands wholly in one segment. Returns the mark for DropBefore.
+  virtual Result<uint64_t> RollOver() = 0;
+  /// Discards the whole segments before `mark`, oldest first, so an
+  /// interrupted drop leaves a contiguous suffix.
+  virtual Status DropBefore(uint64_t mark) = 0;
+  /// Retained bytes.
   virtual int64_t Size() const = 0;
 };
 
@@ -39,8 +48,10 @@ class LogStorage {
 /// its own bytes (splitting them across a chunk boundary when needed) and
 /// never reallocates what is already stored: a log of any size appends in
 /// time proportional to the append, and peak memory is the log plus at most
-/// one partly filled chunk. ReadAll concatenates the chunks; Truncate frees
-/// them.
+/// one partly filled chunk. ReadAll concatenates the chunks.
+///
+/// A mark is a logical offset (bytes ever appended): DropBefore frees the
+/// chunks wholly below it, and reading starts exactly at it.
 class MemLogStorage : public LogStorage {
  public:
   static constexpr size_t kChunkBytes = size_t{1} << 20;
@@ -48,17 +59,25 @@ class MemLogStorage : public LogStorage {
   Status Append(Slice data) override;
   Status Sync() override;
   Status ReadAll(std::string* out) override;
-  Status Truncate() override;
+  Result<uint64_t> RollOver() override;
+  Status DropBefore(uint64_t mark) override;
   int64_t Size() const override;
 
  private:
   mutable Mutex mu_{LockRank::kLogInternal, "wal.mem_storage"};
-  std::vector<std::unique_ptr<char[]>> chunks_ BTRIM_GUARDED_BY(mu_);
-  // Written under mu_; read lock-free by Size().
-  std::atomic<int64_t> size_{0};
+  // chunks_[0] starts at start_ rounded down to a chunk boundary.
+  std::deque<std::unique_ptr<char[]>> chunks_ BTRIM_GUARDED_BY(mu_);
+  uint64_t start_ BTRIM_GUARDED_BY(mu_) = 0;  // first retained byte
+  uint64_t end_ BTRIM_GUARDED_BY(mu_) = 0;
 };
 
 /// File-backed log storage (durability across process restarts).
+///
+/// The active segment keeps the name it was opened with (`syslogs.wal`).
+/// RollOver renames it to a numbered archive beside it (`syslogs.1.wal`:
+/// stem, number, extension) and opens a fresh one; Open finds the archives
+/// again. A mark is the next archive number: DropBefore unlinks the
+/// archives below it.
 class FileLogStorage : public LogStorage {
  public:
   static Result<std::unique_ptr<FileLogStorage>> Open(const std::string& path);
@@ -67,25 +86,36 @@ class FileLogStorage : public LogStorage {
   Status Append(Slice data) override;
   Status Sync() override;
   Status ReadAll(std::string* out) override;
-  Status Truncate() override;
+  Result<uint64_t> RollOver() override;
+  Status DropBefore(uint64_t mark) override;
   int64_t Size() const override;
 
  private:
-  FileLogStorage(int fd, std::string path);
-  const int fd_;
+  explicit FileLogStorage(std::string path) : path_(std::move(path)) {}
+  std::string ArchivePath(uint64_t number) const;
+  Status OpenActive() BTRIM_REQUIRES(append_latch_);
+
   const std::string path_;
-  std::atomic<int64_t> size_{0};
+  // Lock order: mu_ -> append_latch_. fd_ changes only under mu_ and the
+  // exclusive latch (at a rollover, which syncs after releasing the
+  // latch); appends share the latch, and Sync syncs under mu_.
+  mutable Mutex mu_{LockRank::kLogInternal, "wal.file_storage"};
+  mutable RwSpinLock append_latch_{LockRank::kLogInternal, "wal.file_append"};
+  int fd_ = -1;
+  std::atomic<int64_t> active_bytes_{0};
+  // (number, bytes) of each archive, oldest first.
+  std::deque<std::pair<uint64_t, int64_t>> archives_ BTRIM_GUARDED_BY(mu_);
+  uint64_t next_archive_ BTRIM_GUARDED_BY(mu_) = 1;
 };
 
 /// A transaction log (one instance each for syslogs and sysimrslogs).
 ///
 /// Appends are atomic per call: callers serialize a *group* of records
 /// (e.g. one transaction's IMRS changes + commit record) into a buffer and
-/// append it in one shot, so groups are contiguous on disk. `sync_on_commit`
-/// can be disabled for benchmark runs on the in-memory backend.
+/// append it in one shot, so groups are contiguous on disk.
 class Log {
  public:
-  Log(std::unique_ptr<LogStorage> storage, bool sync_on_commit);
+  explicit Log(std::unique_ptr<LogStorage> storage);
 
   Log(const Log&) = delete;
   Log& operator=(const Log&) = delete;
@@ -108,14 +138,14 @@ class Log {
   Status AppendSerialized(Slice data, int64_t record_count,
                           int64_t group_count = 0);
 
-  /// Forces previous appends to durable storage. No-op when sync_on_commit
-  /// is false, and elided (counted in syncs_elided) when every completed
-  /// append is already covered by an earlier sync.
+  /// Forces previous appends to durable storage. Elided (counted in
+  /// syncs_elided) when every completed append is already covered by an
+  /// earlier sync.
   Status Commit();
 
-  /// Unconditional storage sync, independent of sync_on_commit and never
-  /// elided. Checkpoint uses this as the WAL barrier: log records must be
-  /// durable before the data pages they describe.
+  /// Storage sync that is never elided. Checkpoint uses this as the WAL
+  /// barrier: log records must be durable before the data pages they
+  /// describe.
   Status SyncStorage();
 
   /// True once an append or sync failure has poisoned this log (see below).
@@ -127,8 +157,11 @@ class Log {
   /// `fn` returns false. A torn tail terminates iteration cleanly.
   Status Replay(const std::function<bool(const LogRecord&)>& fn);
 
-  /// Discards all log content (quiescent checkpoint truncation).
-  Status Truncate();
+  /// LogStorage::RollOver, counted and poisoning like a sync.
+  Result<uint64_t> RollOver();
+  /// LogStorage::DropBefore. A failed drop does not poison: it only keeps
+  /// bytes a later drop removes.
+  Status DropBefore(uint64_t mark);
 
   int64_t SizeBytes() const { return storage_->Size(); }
 
@@ -151,8 +184,11 @@ class Log {
   /// OK, or the sticky poison status.
   Status CheckPoisoned() const;
 
+  /// Runs a storage sync (Sync or RollOver) with the poisoning and dirty
+  /// cursor bookkeeping above.
+  Status SyncWith(const std::function<Status()>& sync);
+
   const std::unique_ptr<LogStorage> storage_;
-  const bool sync_on_commit_;
 
   std::atomic<bool> poisoned_{false};
   mutable SpinLock poison_mu_{LockRank::kLogInternal, "wal.poison"};

@@ -28,6 +28,7 @@ enum class LogRecordType : uint8_t {
   kPsDelete = 3,
   kPsCommit = 4,
   kPsAbort = 5,
+  /// Retired quiescent-checkpoint marker: still parsed, never written.
   kCheckpoint = 6,
   /// Overlapped-checkpoint markers (both logs). `cts` carries the snapshot
   /// epoch: every commit with cts <= epoch is inside the snapshot, every

@@ -74,6 +74,61 @@ TEST(CrashTortureTest, EverySyncBoundarySeedOne) {
   EXPECT_GT(sync_points, 50);
 }
 
+// Crash at every storage operation of one checkpoint: each rollover, the
+// begin records, the snapshot chunks, the page write-back and syncs, the end
+// records and each drop. The seed-1 workload has packed rows (mixed-store
+// commits: the page-store insert and the IMRS removal commit together) and
+// committed transactions spanning both stores before its second
+// checkpoint, which is the one swept here, so recovery must arbitrate those
+// groups against what the crash left of syslogs.
+TEST(CrashTortureTest, EveryOpOfOneCheckpoint) {
+  ScratchDir dir("one_checkpoint");
+  testing::TortureConfig config;
+  config.dir = dir.path();
+  config.workload_seed = 1;
+
+  std::vector<TraceEntry> trace;
+  Result<uint64_t> total = testing::CountStorageOps(config, &trace);
+  ASSERT_TRUE(total.ok()) << total.status().ToString();
+
+  // A checkpoint's ops run from its syslogs rollover to its sysimrslogs
+  // drop.
+  std::vector<uint64_t> starts;
+  for (uint64_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].op == FaultOp::kRollOver && trace[i].target == "syslogs") {
+      starts.push_back(i);
+    }
+  }
+  ASSERT_GE(starts.size(), 2u);
+  const uint64_t first = starts[1];
+  uint64_t last = first;
+  while (last < trace.size() && !(trace[last].op == FaultOp::kDrop &&
+                                  trace[last].target == "sysimrslogs")) {
+    ++last;
+  }
+  ASSERT_LT(last, trace.size());
+
+  int kinds[6] = {};
+  for (uint64_t i = first; i <= last; ++i) {
+    ++kinds[static_cast<int>(trace[i].op)];
+  }
+  EXPECT_EQ(kinds[static_cast<int>(FaultOp::kRollOver)], 2);
+  EXPECT_EQ(kinds[static_cast<int>(FaultOp::kDrop)], 2);
+  // Begin and end records in both logs, plus at least one snapshot chunk.
+  EXPECT_GE(kinds[static_cast<int>(FaultOp::kAppend)], 5);
+  EXPECT_GE(kinds[static_cast<int>(FaultOp::kSync)], 4);
+
+  for (uint64_t crash_op = first; crash_op <= last; ++crash_op) {
+    testing::TortureStats stats;
+    Status s = testing::RunCrashPoint(config, crash_op, &stats);
+    EXPECT_TRUE(s.ok()) << "seed=" << config.workload_seed
+                        << " crash_op=" << crash_op << " ("
+                        << FaultOpName(trace[crash_op].op) << " "
+                        << trace[crash_op].target << "): " << s.ToString();
+    EXPECT_TRUE(stats.crash_fired) << "crash_op=" << crash_op;
+  }
+}
+
 // Property-style randomized sweep: 50 seeds, each with a handful of seeded
 // crash points drawn over that seed's own op sequence. Failures print the
 // exact (seed, crash_op) pair for replay.

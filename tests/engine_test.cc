@@ -973,15 +973,32 @@ TEST_F(EngineTest, StatsReflectActivity) {
   EXPECT_GT(m.Sum("imrs_cache.in_use_bytes"), 0);
 }
 
-TEST_F(EngineTest, CheckpointFlushesAndTruncates) {
+TEST_F(EngineTest, CheckpointFlushesAndBoundsTheLogs) {
   Open();
   db_->ilm()->SetForcePageStore(true);
   for (int64_t i = 0; i < 20; ++i) {
     ASSERT_TRUE(InsertRow(i, 1, "flushme").ok());
   }
+  const obs::MetricLabels syslogs{"syslogs", "", "", ""};
+  obs::MetricsRegistry* metrics = db_->metrics_registry();
+  const int64_t appended_before = metrics->Sum("wal.bytes_appended", syslogs);
   EXPECT_GT(db_->syslogs()->SizeBytes(), 0);
   ASSERT_TRUE(db_->Checkpoint().ok());
-  EXPECT_EQ(db_->syslogs()->SizeBytes(), 0);
+  // Only what the checkpoint itself appended (its begin and end records)
+  // is left: the inserts before its rollover were dropped.
+  EXPECT_EQ(db_->syslogs()->SizeBytes(),
+            metrics->Sum("wal.bytes_appended", syslogs) - appended_before);
+  int records = 0;
+  ASSERT_TRUE(db_->syslogs()
+                  ->Replay([&](const LogRecord& rec) {
+                    EXPECT_EQ(rec.type, records == 0
+                                            ? LogRecordType::kCheckpointBegin
+                                            : LogRecordType::kCheckpointEnd);
+                    ++records;
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(records, 2);
   // Data remains readable after a cold cache restart.
   ASSERT_TRUE(db_->buffer_cache()->DropAll().ok());
   db_->ilm()->SetForcePageStore(false);

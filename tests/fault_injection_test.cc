@@ -245,7 +245,7 @@ TEST(LogPoisoningTest, FailedAppendPoisonsTheLog) {
   auto plan = std::make_shared<FaultPlan>(1);
   auto faulty = std::make_unique<FaultyLogStorage>(
       std::make_unique<MemLogStorage>(), plan, "log");
-  Log log(std::move(faulty), /*sync_on_commit=*/true);
+  Log log(std::move(faulty));
   obs::MetricsRegistry metrics;
   ASSERT_TRUE(log.RegisterMetrics(&metrics, "syslogs").ok());
 
@@ -264,7 +264,8 @@ TEST(LogPoisoningTest, FailedAppendPoisonsTheLog) {
   const uint64_t ops_before = plan->ops_seen();
   EXPECT_FALSE(log.AppendRecord(rec).ok());
   EXPECT_FALSE(log.Commit().ok());
-  EXPECT_FALSE(log.Truncate().ok());
+  EXPECT_FALSE(log.RollOver().ok());
+  EXPECT_FALSE(log.DropBefore(0).ok());
   EXPECT_EQ(plan->ops_seen(), ops_before);
   // Counted once, at the cause.
   EXPECT_EQ(metrics.Sum("wal.append_failures"), 1);
@@ -274,7 +275,7 @@ TEST(LogPoisoningTest, FailedSyncPoisonsAndNeverElidesLater) {
   auto plan = std::make_shared<FaultPlan>(1);
   auto faulty = std::make_unique<FaultyLogStorage>(
       std::make_unique<MemLogStorage>(), plan, "log");
-  Log log(std::move(faulty), /*sync_on_commit=*/true);
+  Log log(std::move(faulty));
   obs::MetricsRegistry metrics;
   ASSERT_TRUE(log.RegisterMetrics(&metrics, "syslogs").ok());
 

@@ -36,7 +36,7 @@ std::unique_ptr<Log> OpenFileLog(const std::string& path) {
   std::filesystem::remove(path);
   auto storage = FileLogStorage::Open(path);
   EXPECT_TRUE(storage.ok());
-  return std::make_unique<Log>(std::move(*storage), /*sync_on_commit=*/true);
+  return std::make_unique<Log>(std::move(*storage));
 }
 
 // Registers a log and its committer into `metrics` the way a Database wires
@@ -68,8 +68,7 @@ TEST(GroupCommitterTest, SyncPerCommitSyncsEveryGroup) {
 }
 
 TEST(GroupCommitterTest, NoSyncAppendsWithoutSyncing) {
-  auto log = std::make_unique<Log>(std::make_unique<MemLogStorage>(),
-                                   /*sync_on_commit=*/false);
+  auto log = std::make_unique<Log>(std::make_unique<MemLogStorage>());
   DurabilityOptions opts;
   opts.policy = DurabilityPolicy::kNoSync;
   GroupCommitter committer(log.get(), opts);
@@ -183,7 +182,11 @@ class FailingSyncStorage : public LogStorage {
     return Status::IOError("injected sync failure");
   }
   Status ReadAll(std::string* out) override { return mem_.ReadAll(out); }
-  Status Truncate() override { return mem_.Truncate(); }
+  Result<uint64_t> RollOver() override {
+    BTRIM_RETURN_IF_ERROR(Sync());
+    return mem_.RollOver();
+  }
+  Status DropBefore(uint64_t mark) override { return mem_.DropBefore(mark); }
   int64_t Size() const override { return mem_.Size(); }
 
  private:
@@ -192,8 +195,7 @@ class FailingSyncStorage : public LogStorage {
 };
 
 TEST(GroupCommitterTest, SyncFailurePoisonsTheCommitter) {
-  auto log = std::make_unique<Log>(std::make_unique<FailingSyncStorage>(0),
-                                   /*sync_on_commit=*/true);
+  auto log = std::make_unique<Log>(std::make_unique<FailingSyncStorage>(0));
   DurabilityOptions opts;
   opts.policy = DurabilityPolicy::kGroupCommit;
   opts.max_group_latency_us = 0;
@@ -210,8 +212,7 @@ TEST(GroupCommitterTest, SyncFailurePoisonsTheCommitter) {
 }
 
 TEST(GroupCommitterTest, OptionsAreSanitized) {
-  auto log = std::make_unique<Log>(std::make_unique<MemLogStorage>(),
-                                   /*sync_on_commit=*/false);
+  auto log = std::make_unique<Log>(std::make_unique<MemLogStorage>());
   DurabilityOptions opts;
   opts.policy = DurabilityPolicy::kGroupCommit;
   opts.max_batch_groups = 0;      // clamped to 1

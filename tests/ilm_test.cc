@@ -153,7 +153,7 @@ TEST_F(TsfTest, LearnsTauFromGrowthRate) {
   // 2% growth after 50 ticks: Ʈ = 50 * 0.70 / 0.02 = 1750.
   tsf.Observe(150, 20000, cap);
   EXPECT_EQ(tsf.Tau(), 1750u);
-  EXPECT_EQ(tsf.GetStats().learn_cycles, 1);
+  EXPECT_EQ(tsf.learn_cycles(), 1);
 }
 
 TEST_F(TsfTest, SubThresholdGrowthKeepsWaiting) {
@@ -211,7 +211,7 @@ TEST_F(TsfTest, ResetClearsState) {
   ASSERT_GT(tsf.Tau(), 0u);
   tsf.Reset();
   EXPECT_EQ(tsf.Tau(), 0u);
-  EXPECT_EQ(tsf.GetStats().learn_cycles, 0);
+  EXPECT_EQ(tsf.learn_cycles(), 0);
 }
 
 // --- tuner ----------------------------------------------------------------------

@@ -252,7 +252,7 @@ TEST(MetricsJsonTest, MetricsDocumentCombinesMetaRegistryAndSeries) {
                   .RegisterCounter("txn.committed", MetricLabels{"txn", "", "", ""},
                                    &counter)
                   .ok());
-  TimeSeriesSampler sampler(&registry, {});
+  TimeSeriesSampler sampler(&registry, /*capacity=*/16);
   sampler.SampleNow(500);
 
   const std::string doc = BuildMetricsDocument(
@@ -274,7 +274,7 @@ TEST(TimeSeriesSamplerTest, WindowingIsDeterministicUnderFakeClock) {
                   .RegisterCounter("txn.committed", MetricLabels{"txn", "", "", ""},
                                    &committed)
                   .ok());
-  TimeSeriesSampler sampler(&registry, {});
+  TimeSeriesSampler sampler(&registry, /*capacity=*/16);
   int64_t fake_now = 0;
   sampler.SetClockForTest([&fake_now] { return fake_now; });
 
@@ -297,9 +297,7 @@ TEST(TimeSeriesSamplerTest, WindowingIsDeterministicUnderFakeClock) {
 
 TEST(TimeSeriesSamplerTest, RingKeepsNewestCapacitySamples) {
   MetricsRegistry registry;
-  TimeSeriesSampler::Options options;
-  options.capacity = 4;
-  TimeSeriesSampler sampler(&registry, options);
+  TimeSeriesSampler sampler(&registry, /*capacity=*/4);
   for (int i = 0; i < 10; ++i) sampler.SampleNow(i);
 
   std::vector<TimeSeriesSampler::Sample> samples = sampler.Samples();
@@ -309,19 +307,6 @@ TEST(TimeSeriesSamplerTest, RingKeepsNewestCapacitySamples) {
     EXPECT_EQ(samples[i].seq, 6 + i);  // oldest first
     EXPECT_EQ(samples[i].marker, 6 + i);
   }
-}
-
-TEST(TimeSeriesSamplerTest, CadenceThreadSamplesWithoutMarkers) {
-  MetricsRegistry registry;
-  TimeSeriesSampler::Options options;
-  options.interval_us = 200;
-  TimeSeriesSampler sampler(&registry, options);
-  sampler.Start();
-  while (sampler.total_samples() < 3) std::this_thread::yield();
-  sampler.Stop();
-  std::vector<TimeSeriesSampler::Sample> samples = sampler.Samples();
-  ASSERT_GE(samples.size(), 3u);
-  for (const auto& s : samples) EXPECT_EQ(s.marker, -1);
 }
 
 // --- trace ring -------------------------------------------------------------
@@ -378,7 +363,7 @@ TEST(ObservabilityConcurrencyTest, IncrementSnapshotRecordHammer) {
                   .RegisterHistogram("hammer.lat",
                                      MetricLabels{"test", "", "", ""}, &hist)
                   .ok());
-  TimeSeriesSampler sampler(&registry, {});
+  TimeSeriesSampler sampler(&registry, /*capacity=*/16);
   TraceRing ring(64);
 
   constexpr int kWriters = 4;

@@ -4,6 +4,7 @@
 // files, re-create the catalog, and Recover().
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <thread>
 #include <vector>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "wal/log_record.h"
 
 namespace btrim {
 namespace {
@@ -372,7 +374,7 @@ TEST_F(RecoveryTest, BitFlipInLogBodyDropsOnlyTheTail) {
   EXPECT_GE(intact, 8);  // only the corrupted tail group may be lost
 }
 
-TEST_F(RecoveryTest, CompactedImrsLogRecoversSameState) {
+TEST_F(RecoveryTest, CheckpointShrinksImrsLogAndRecoversSameState) {
   Open(false);
   // Build history: inserts + repeated updates + a delete, so the raw log is
   // much larger than the live state.
@@ -391,9 +393,7 @@ TEST_F(RecoveryTest, CompactedImrsLogRecoversSameState) {
   }
 
   const int64_t before = db_->sysimrslogs()->SizeBytes();
-  Result<int64_t> records = db_->CompactImrsLog();
-  ASSERT_TRUE(records.ok()) << records.status().ToString();
-  EXPECT_GT(*records, 0);
+  ASSERT_TRUE(db_->Checkpoint().ok());
   EXPECT_LT(db_->sysimrslogs()->SizeBytes(), before / 3);
 
   Open(true);
@@ -404,32 +404,6 @@ TEST_F(RecoveryTest, CompactedImrsLogRecoversSameState) {
   }
   // The tombstone kept masking its deleted row.
   EXPECT_TRUE(ReadValue(29).status().IsNotFound());
-}
-
-TEST_F(RecoveryTest, CompactionRequiresQuiescence) {
-  Open(false);
-  ASSERT_TRUE(InsertRow(1, "x").ok());
-  auto active = db_->Begin();
-  EXPECT_TRUE(db_->CompactImrsLog().status().IsBusy());
-  ASSERT_TRUE(db_->Abort(active.get()).ok());
-  EXPECT_TRUE(db_->CompactImrsLog().ok());
-}
-
-TEST_F(RecoveryTest, WritesAfterCompactionAlsoRecover) {
-  Open(false);
-  for (int64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(InsertRow(i, "old").ok());
-  }
-  ASSERT_TRUE(db_->CompactImrsLog().ok());
-  for (int64_t i = 10; i < 20; ++i) {
-    ASSERT_TRUE(InsertRow(i, "new").ok());
-  }
-  ASSERT_TRUE(UpdateValue(0, "updated-after-compaction").ok());
-
-  Open(true);
-  EXPECT_EQ(*ReadValue(0), "updated-after-compaction");
-  for (int64_t i = 1; i < 10; ++i) EXPECT_EQ(*ReadValue(i), "old");
-  for (int64_t i = 10; i < 20; ++i) EXPECT_EQ(*ReadValue(i), "new");
 }
 
 // --- overlapped checkpoints & parallel replay --------------------------------
@@ -482,6 +456,163 @@ TEST_F(RecoveryTest, NewestCompleteCheckpointWins) {
   for (int64_t i = 0; i < 5; ++i) EXPECT_EQ(*ReadValue(i), "gen3") << i;
   for (int64_t i = 5; i < 20; ++i) EXPECT_EQ(*ReadValue(i), "gen2") << i;
   EXPECT_TRUE(db_->ValidateInvariants().ok());
+}
+
+// --- bounded logs -------------------------------------------------------------
+
+// Fields of one log after a checkpoint, for the bounded-log rule.
+struct RetainedLog {
+  int64_t bytes = 0;
+  int64_t appended_by_checkpoint = 0;
+  LogRecordType first = LogRecordType::kInvalid;
+  LogRecordType last = LogRecordType::kInvalid;
+  uint64_t first_cts = 0;
+  uint64_t last_cts = 0;
+};
+
+class BoundedLogTest : public RecoveryTest,
+                       public ::testing::WithParamInterface<bool> {
+ protected:
+  bool in_memory() const { return GetParam(); }
+
+  int64_t Appended(const char* log) {
+    return db_->metrics_registry()->Sum("wal.bytes_appended",
+                                        obs::MetricLabels{log, "", "", ""});
+  }
+
+  static RetainedLog Inspect(Log* log) {
+    RetainedLog out;
+    out.bytes = log->SizeBytes();
+    bool first = true;
+    EXPECT_TRUE(log->Replay([&](const LogRecord& rec) {
+                     if (first) {
+                       out.first = rec.type;
+                       out.first_cts = rec.cts;
+                       first = false;
+                     }
+                     out.last = rec.type;
+                     out.last_cts = rec.cts;
+                     return true;
+                   })
+                    .ok());
+    return out;
+  }
+
+  int WalFiles() {
+    int n = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+      if (e.path().extension() == ".wal") ++n;
+    }
+    return n;
+  }
+};
+
+// Eight checkpoints with the same writes between them: after each one, both
+// logs hold exactly what that checkpoint appended from its rollover on —
+// its begin record first, its end record last — and on files each log is
+// one *.wal file. What a log retains does not grow with the round.
+TEST_P(BoundedLogTest, EachCheckpointDropsEverythingBeforeItsRollover) {
+  DatabaseOptions options = DefaultOptions();
+  options.in_memory = in_memory();
+  Open(false, options);
+  for (int64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(InsertRow(i, "r0").ok());
+  }
+  db_->ilm()->SetForcePageStore(true);
+  for (int64_t i = 100; i < 120; ++i) {
+    ASSERT_TRUE(InsertRow(i, "r0").ok());
+  }
+  db_->ilm()->SetForcePageStore(false);
+
+  std::vector<RetainedLog> first_round;
+  for (int round = 1; round <= 8; ++round) {
+    // Writers between checkpoints: IMRS and page-store rows alike.
+    const std::string value = "r" + std::to_string(round);
+    for (int64_t i = 0; i < 40; ++i) ASSERT_TRUE(UpdateValue(i, value).ok());
+    for (int64_t i = 100; i < 120; ++i) {
+      ASSERT_TRUE(UpdateValue(i, value).ok());
+    }
+    const int64_t sys_before = Appended("syslogs");
+    const int64_t imrs_before = Appended("sysimrslogs");
+    ASSERT_TRUE(db_->Checkpoint().ok());
+    RetainedLog sys = Inspect(db_->syslogs());
+    RetainedLog imrs = Inspect(db_->sysimrslogs());
+    sys.appended_by_checkpoint = Appended("syslogs") - sys_before;
+    imrs.appended_by_checkpoint = Appended("sysimrslogs") - imrs_before;
+    for (const RetainedLog* log : {&sys, &imrs}) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      EXPECT_EQ(log->bytes, log->appended_by_checkpoint);
+      EXPECT_EQ(log->first, LogRecordType::kCheckpointBegin);
+      EXPECT_EQ(log->last, LogRecordType::kCheckpointEnd);
+      EXPECT_EQ(log->first_cts, log->last_cts);
+    }
+    EXPECT_EQ(sys.first_cts, imrs.first_cts);
+    if (!in_memory()) {
+      EXPECT_EQ(WalFiles(), 2) << "round " << round;
+    }
+    if (round == 1) {
+      first_round = {sys, imrs};
+    } else {
+      EXPECT_LE(sys.bytes, first_round[0].bytes) << "round " << round;
+      EXPECT_LE(imrs.bytes, first_round[1].bytes) << "round " << round;
+    }
+  }
+  if (in_memory()) return;
+
+  // The bounded logs still recover everything.
+  Open(true);
+  for (int64_t i = 0; i < 40; ++i) EXPECT_EQ(*ReadValue(i), "r8") << i;
+  for (int64_t i = 100; i < 120; ++i) EXPECT_EQ(*ReadValue(i), "r8") << i;
+  EXPECT_TRUE(db_->ValidateInvariants().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Storage, BoundedLogTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "InMemory" : "Files";
+                         });
+
+// A transaction that wrote a page-store row before a checkpoint's rollover,
+// wrote it again after it, and aborted before the begin barrier: the drop
+// takes its first record, so undoing the second from the partial history
+// would resurrect its own first value. Recovery starts syslogs at the
+// complete checkpoint's begin record instead, where the aborted
+// transaction has nothing left to undo (its rollback is in the flushed
+// pages).
+TEST_F(RecoveryTest, LoserStraddlingTheRollOverStaysRolledBack) {
+  DatabaseOptions options = DefaultOptions();
+  options.lock_timeout_ms = 10000;  // the begin barrier waits for the loser
+  Open(false, options);
+  db_->ilm()->SetForcePageStore(true);
+  ASSERT_TRUE(InsertRow(1, "base").ok());
+
+  auto set_value = [&](Transaction* txn, const std::string& value) {
+    return db_->Update(txn, table_, Key(1), [&](std::string* payload) {
+      RecordEditor e(&table_->schema(), Slice(*payload));
+      e.SetString(2, value);
+      *payload = e.Encode();
+    });
+  };
+  auto loser = db_->Begin();
+  ASSERT_TRUE(set_value(loser.get(), "loser-1").ok());
+  Status checkpoint;
+  std::thread checkpointer([&] { checkpoint = db_->Checkpoint(); });
+  const std::string archive = dir_ + "/syslogs.1.wal";
+  for (int i = 0; i < 10000 && !std::filesystem::exists(archive); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool rolled_over = std::filesystem::exists(archive);
+  const Status second_write = set_value(loser.get(), "loser-2");
+  const Status aborted = db_->Abort(loser.get());
+  checkpointer.join();  // before any ASSERT can return
+  ASSERT_TRUE(rolled_over);  // the checkpoint waits at its begin barrier
+  ASSERT_TRUE(second_write.ok()) << second_write.ToString();
+  ASSERT_TRUE(aborted.ok()) << aborted.ToString();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.ToString();
+
+  Open(true);
+  Result<std::string> v = ReadValue(1);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, "base");
 }
 
 // A logical fingerprint of the recovered database: full index-ordered scan

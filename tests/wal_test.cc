@@ -1,6 +1,7 @@
 // Unit tests for the dual-log WAL layer: record codec, log storage
 // backends, group appends, and replay semantics.
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -223,7 +224,7 @@ TEST(LogRecordTest, AppendIntoReservedBufferDoesNotAllocate) {
 
 // --- storage backends ---------------------------------------------------------------
 
-TEST(MemLogStorageTest, AppendReadTruncate) {
+TEST(MemLogStorageTest, AppendReadRollOverDrop) {
   MemLogStorage storage;
   ASSERT_TRUE(storage.Append("hello ").ok());
   ASSERT_TRUE(storage.Append("world").ok());
@@ -231,8 +232,41 @@ TEST(MemLogStorageTest, AppendReadTruncate) {
   std::string content;
   ASSERT_TRUE(storage.ReadAll(&content).ok());
   EXPECT_EQ(content, "hello world");
-  ASSERT_TRUE(storage.Truncate().ok());
-  EXPECT_EQ(storage.Size(), 0);
+  Result<uint64_t> mark = storage.RollOver();
+  ASSERT_TRUE(mark.ok());
+  ASSERT_TRUE(storage.Append("!").ok());
+  ASSERT_TRUE(storage.DropBefore(*mark).ok());
+  EXPECT_EQ(storage.Size(), 1);
+  ASSERT_TRUE(storage.ReadAll(&content).ok());
+  EXPECT_EQ(content, "!");
+}
+
+// A mark in the middle of a chunk: reading resumes exactly at it, the
+// chunks wholly below it are gone, and an older mark drops nothing more.
+TEST(MemLogStorageTest, DropResumesExactlyAtTheMark) {
+  constexpr size_t kChunk = MemLogStorage::kChunkBytes;
+  MemLogStorage storage;
+  ASSERT_TRUE(storage.Append(std::string(2 * kChunk + kChunk / 2, 'a')).ok());
+  Result<uint64_t> first = storage.RollOver();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, 2 * kChunk + kChunk / 2);
+  std::string expected = "0123456789";
+  expected += std::string(kChunk, 'b');  // straddles into a fresh chunk
+  ASSERT_TRUE(storage.Append(Slice(expected)).ok());
+  ASSERT_TRUE(storage.DropBefore(*first).ok());
+  EXPECT_EQ(storage.Size(), static_cast<int64_t>(expected.size()));
+  std::string content;
+  ASSERT_TRUE(storage.ReadAll(&content).ok());
+  EXPECT_TRUE(content == expected);
+
+  Result<uint64_t> second = storage.RollOver();
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(storage.Append("tail").ok());
+  ASSERT_TRUE(storage.DropBefore(*second).ok());
+  ASSERT_TRUE(storage.DropBefore(*first).ok());  // older mark: no-op
+  ASSERT_TRUE(storage.ReadAll(&content).ok());
+  EXPECT_EQ(content, "tail");
+  EXPECT_EQ(storage.Size(), 4);
 }
 
 // Appends that straddle a chunk boundary, one larger than three chunks, and
@@ -257,7 +291,9 @@ TEST(MemLogStorageTest, AppendsSpanChunkBoundaries) {
   ASSERT_TRUE(storage.ReadAll(&content).ok());
   EXPECT_TRUE(content == expected);  // not EXPECT_EQ: no 5 MiB failure dump
 
-  ASSERT_TRUE(storage.Truncate().ok());
+  Result<uint64_t> mark = storage.RollOver();
+  ASSERT_TRUE(mark.ok());
+  ASSERT_TRUE(storage.DropBefore(*mark).ok());
   EXPECT_EQ(storage.Size(), 0);
   ASSERT_TRUE(storage.ReadAll(&content).ok());
   EXPECT_TRUE(content.empty());
@@ -272,7 +308,7 @@ TEST(MemLogStorageTest, AppendsSpanChunkBoundaries) {
 TEST(MemLogStorageTest, ChunkedLogReplaysIdentically) {
   auto storage = std::make_unique<MemLogStorage>();
   MemLogStorage* raw = storage.get();
-  Log log(std::move(storage), /*sync_on_commit=*/false);
+  Log log(std::move(storage));
   std::vector<LogRecord> written;
   std::string serialized;
   for (uint64_t i = 0; i < 40; ++i) {
@@ -298,7 +334,9 @@ TEST(MemLogStorageTest, ChunkedLogReplaysIdentically) {
                  })
                   .ok());
   EXPECT_EQ(n, written.size());
-  ASSERT_TRUE(log.Truncate().ok());
+  Result<uint64_t> mark = log.RollOver();
+  ASSERT_TRUE(mark.ok());
+  ASSERT_TRUE(log.DropBefore(*mark).ok());
   EXPECT_EQ(log.SizeBytes(), 0);
 }
 
@@ -320,16 +358,82 @@ TEST(FileLogStorageTest, PersistsAcrossReopen) {
     std::string content;
     ASSERT_TRUE((*storage)->ReadAll(&content).ok());
     EXPECT_EQ(content, "abc");
-    ASSERT_TRUE((*storage)->Truncate().ok());
-    EXPECT_EQ((*storage)->Size(), 0);
   }
   std::filesystem::remove(path);
+}
+
+// Sorted names of the files in `dir`.
+std::vector<std::string> FileNames(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// The active segment keeps its name; each rollover archives it as a
+// numbered .wal file that a reopen finds again, in order; a drop unlinks
+// the archives below its mark and nothing else.
+TEST(FileLogStorageTest, RollOverArchivesAndDropUnlinks) {
+  const std::string dir = ::testing::TempDir() + "/btrim_wal_rollover";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/syslogs.wal";
+  uint64_t first = 0;
+  uint64_t second = 0;
+  {
+    Result<std::unique_ptr<FileLogStorage>> storage =
+        FileLogStorage::Open(path);
+    ASSERT_TRUE(storage.ok());
+    ASSERT_TRUE((*storage)->Append("abc").ok());
+    Result<uint64_t> mark = (*storage)->RollOver();
+    ASSERT_TRUE(mark.ok());
+    first = *mark;
+    ASSERT_TRUE((*storage)->Append("de").ok());
+    mark = (*storage)->RollOver();
+    ASSERT_TRUE(mark.ok());
+    second = *mark;
+    ASSERT_TRUE((*storage)->Append("f").ok());
+    ASSERT_TRUE((*storage)->Sync().ok());
+    EXPECT_EQ((*storage)->Size(), 6);
+  }
+  EXPECT_EQ(FileNames(dir), (std::vector<std::string>{
+                                "syslogs.1.wal", "syslogs.2.wal",
+                                "syslogs.wal"}));
+  Result<std::unique_ptr<FileLogStorage>> storage = FileLogStorage::Open(path);
+  ASSERT_TRUE(storage.ok());
+  std::string content;
+  ASSERT_TRUE((*storage)->ReadAll(&content).ok());
+  EXPECT_EQ(content, "abcdef");
+  EXPECT_EQ((*storage)->Size(), 6);
+
+  ASSERT_TRUE((*storage)->DropBefore(first).ok());
+  EXPECT_EQ(FileNames(dir), (std::vector<std::string>{"syslogs.2.wal",
+                                                      "syslogs.wal"}));
+  ASSERT_TRUE((*storage)->ReadAll(&content).ok());
+  EXPECT_EQ(content, "def");
+  ASSERT_TRUE((*storage)->DropBefore(second).ok());
+  EXPECT_EQ(FileNames(dir), (std::vector<std::string>{"syslogs.wal"}));
+  ASSERT_TRUE((*storage)->ReadAll(&content).ok());
+  EXPECT_EQ(content, "f");
+  EXPECT_EQ((*storage)->Size(), 1);
+
+  // Numbering continues past the dropped archives.
+  Result<uint64_t> third = (*storage)->RollOver();
+  ASSERT_TRUE(third.ok());
+  EXPECT_GT(*third, second);
+  ASSERT_TRUE((*storage)->Append("g").ok());
+  ASSERT_TRUE((*storage)->ReadAll(&content).ok());
+  EXPECT_EQ(content, "fg");
+  (*storage).reset();  // close before removing the directory
+  std::filesystem::remove_all(dir);
 }
 
 // --- Log -------------------------------------------------------------------------------
 
 TEST(LogTest, AppendAndReplay) {
-  Log log(std::make_unique<MemLogStorage>(), false);
+  Log log(std::make_unique<MemLogStorage>());
   for (uint64_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsInsert, i)).ok());
   }
@@ -345,7 +449,7 @@ TEST(LogTest, AppendAndReplay) {
 }
 
 TEST(LogTest, ReplayStopsWhenCallbackReturnsFalse) {
-  Log log(std::make_unique<MemLogStorage>(), false);
+  Log log(std::make_unique<MemLogStorage>());
   for (uint64_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsInsert, i)).ok());
   }
@@ -355,7 +459,7 @@ TEST(LogTest, ReplayStopsWhenCallbackReturnsFalse) {
 }
 
 TEST(LogTest, GroupAppendIsContiguous) {
-  Log log(std::make_unique<MemLogStorage>(), false);
+  Log log(std::make_unique<MemLogStorage>());
   // Interleave a group with single records: the group's records replay
   // adjacently.
   ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsInsert, 1)).ok());
@@ -376,10 +480,12 @@ TEST(LogTest, GroupAppendIsContiguous) {
   EXPECT_EQ(LogCounter(log, "wal.records_appended"), 4);
 }
 
-TEST(LogTest, TruncateEmptiesReplay) {
-  Log log(std::make_unique<MemLogStorage>(), false);
+TEST(LogTest, DropBeforeTheRollOverEmptiesReplay) {
+  Log log(std::make_unique<MemLogStorage>());
   ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsInsert)).ok());
-  ASSERT_TRUE(log.Truncate().ok());
+  Result<uint64_t> mark = log.RollOver();
+  ASSERT_TRUE(mark.ok());
+  ASSERT_TRUE(log.DropBefore(*mark).ok());
   int count = 0;
   ASSERT_TRUE(log.Replay([&](const LogRecord&) {
                    ++count;
@@ -390,25 +496,36 @@ TEST(LogTest, TruncateEmptiesReplay) {
   EXPECT_EQ(log.SizeBytes(), 0);
 }
 
-TEST(LogTest, CommitSyncsOnlyWhenConfigured) {
+TEST(LogTest, CommitSyncsTheStorage) {
   const std::string path = ::testing::TempDir() + "/btrim_wal_sync_test.log";
   std::filesystem::remove(path);
+  auto storage = FileLogStorage::Open(path);
+  ASSERT_TRUE(storage.ok());
+  Log log(std::move(*storage));
+  ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsCommit)).ok());
+  ASSERT_TRUE(log.Commit().ok());
+  EXPECT_EQ(LogCounter(log, "wal.syncs"), 1);
+  std::filesystem::remove(path);
+}
+
+// A rollover syncs everything appended before it, so a Commit right after
+// it has nothing left to make durable.
+TEST(LogTest, RollOverCoversEarlierAppends) {
+  const std::string dir = ::testing::TempDir() + "/btrim_wal_rollover_sync";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
   {
-    auto storage = FileLogStorage::Open(path);
+    auto storage = FileLogStorage::Open(dir + "/syslogs.wal");
     ASSERT_TRUE(storage.ok());
-    Log log(std::move(*storage), /*sync_on_commit=*/true);
+    Log log(std::move(*storage));
     ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsCommit)).ok());
+    ASSERT_TRUE(log.RollOver().ok());
+    EXPECT_EQ(LogCounter(log, "wal.syncs"), 1);
     ASSERT_TRUE(log.Commit().ok());
     EXPECT_EQ(LogCounter(log, "wal.syncs"), 1);
+    EXPECT_EQ(LogCounter(log, "wal.syncs_elided"), 1);
   }
-  {
-    auto storage = FileLogStorage::Open(path);
-    ASSERT_TRUE(storage.ok());
-    Log log(std::move(*storage), /*sync_on_commit=*/false);
-    ASSERT_TRUE(log.Commit().ok());
-    EXPECT_EQ(LogCounter(log, "wal.syncs"), 0);
-  }
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(LogTest, RedundantCommitsElideTheSync) {
@@ -416,7 +533,7 @@ TEST(LogTest, RedundantCommitsElideTheSync) {
   std::filesystem::remove(path);
   auto storage = FileLogStorage::Open(path);
   ASSERT_TRUE(storage.ok());
-  Log log(std::move(*storage), /*sync_on_commit=*/true);
+  Log log(std::move(*storage));
 
   // Nothing appended yet: Commit has nothing to make durable.
   ASSERT_TRUE(log.Commit().ok());
@@ -441,7 +558,7 @@ TEST(LogTest, RedundantCommitsElideTheSync) {
 }
 
 TEST(LogTest, SingleRecordAppendsDoNotDoubleSerialize) {
-  Log log(std::make_unique<MemLogStorage>(), false);
+  Log log(std::make_unique<MemLogStorage>());
   std::string scratch;
   ASSERT_TRUE(
       log.AppendRecord(SampleRecord(LogRecordType::kPsInsert, 1), &scratch)
@@ -461,7 +578,7 @@ TEST(LogTest, SingleRecordAppendsDoNotDoubleSerialize) {
 TEST(LogTest, ReplayIgnoresTornTail) {
   auto storage = std::make_unique<MemLogStorage>();
   MemLogStorage* raw = storage.get();
-  Log log(std::move(storage), false);
+  Log log(std::move(storage));
   ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsInsert, 1)).ok());
   // A partial record at the tail (e.g. crash mid-write).
   ASSERT_TRUE(raw->Append(std::string(7, '\x01')).ok());

@@ -129,10 +129,14 @@ int main(int argc, char** argv) {
   if (opt.crash_op >= 0) {
     points.insert(static_cast<uint64_t>(opt.crash_op));
   } else {
-    // Every sync boundary: the durability lines where torn state is most
-    // interesting.
+    // Every sync, rollover and drop: the durability lines where torn state
+    // is most interesting.
     for (uint64_t i = 0; i < trace.size(); ++i) {
-      if (trace[i].op == btrim::FaultOp::kSync) points.insert(i);
+      const btrim::FaultOp op = trace[i].op;
+      if (op == btrim::FaultOp::kSync || op == btrim::FaultOp::kRollOver ||
+          op == btrim::FaultOp::kDrop) {
+        points.insert(i);
+      }
     }
     // Stride over everything else until the target count is reached, then
     // seeded random extras for the gaps.
