@@ -341,7 +341,7 @@ Status ColdStore::Load() {
       break;
     }
     std::string blob = all.substr(off + kFrameHeaderBytes, len);
-    off += kFrameHeaderBytes + len;
+    const size_t frame_end = off + kFrameHeaderBytes + len;
     const uint32_t table_id = DecodeFixed32(blob.data() + 8);
     const Schema* schema = nullptr;
     {
@@ -349,7 +349,10 @@ Status ColdStore::Load() {
       auto it = schemas_.find(table_id);
       if (it != schemas_.end()) schema = it->second;
     }
-    if (schema == nullptr) continue;  // table not re-created; frame skipped
+    if (schema == nullptr) {  // table not re-created; frame skipped
+      off = frame_end;
+      continue;
+    }
     Result<std::shared_ptr<ColdSegment>> seg =
         ColdSegment::Parse(std::move(blob), schema);
     if (!seg.ok()) {
@@ -358,6 +361,7 @@ Status ColdStore::Load() {
       torn = true;
       break;
     }
+    off = frame_end;
     auto pb = BuilderFor(table_id, (*seg)->partition_id(), /*create=*/true);
     if (pb != nullptr) {
       PartitionBuilder* b = pb.get();
@@ -378,7 +382,12 @@ Status ColdStore::Load() {
     }
     loaded_segments_.Inc();
   }
-  if (torn || off < all.size()) torn_segments_dropped_.Inc();
+  if (torn || off < all.size()) {
+    torn_segments_dropped_.Inc();
+    // Cut the dropped bytes off, so frames appended from now on follow the
+    // last intact one, where the next Load reaches them.
+    return storage_->TrimTail(off);
+  }
   return Status::OK();
 }
 

@@ -70,13 +70,13 @@ FaultOutcome FaultPlan::OnOp(const std::string& target, FaultOp op) {
   }
   if (std::find(torn_ops_.begin(), torn_ops_.end(), index) !=
       torn_ops_.end()) {
-    ++torn_writes_;
-    ++errors_injected_;
+    torn_writes_.Inc();
+    errors_injected_.Inc();
     return FaultOutcome::kTorn;
   }
   if (std::find(fail_ops_.begin(), fail_ops_.end(), index) !=
       fail_ops_.end()) {
-    ++errors_injected_;
+    errors_injected_.Inc();
     return FaultOutcome::kError;
   }
   for (NthTrigger& trigger : nth_triggers_) {
@@ -86,13 +86,13 @@ FaultOutcome FaultPlan::OnOp(const std::string& target, FaultOp op) {
       continue;
     }
     if (--trigger.remaining == 0) {
-      ++errors_injected_;
+      errors_injected_.Inc();
       return FaultOutcome::kError;
     }
   }
   const double p = error_probability_[static_cast<int>(op)];
   if (p > 0.0 && rng_.NextDouble() < p) {
-    ++errors_injected_;
+    errors_injected_.Inc();
     return FaultOutcome::kError;
   }
   return FaultOutcome::kNone;
@@ -108,15 +108,9 @@ uint64_t FaultPlan::ops_seen() const {
   return next_op_;
 }
 
-FaultPlanStats FaultPlan::GetStats() const {
+uint64_t FaultPlan::crash_op() const {
   MutexGuard guard(mu_);
-  FaultPlanStats s;
-  s.ops_seen = static_cast<int64_t>(next_op_);
-  s.errors_injected = errors_injected_;
-  s.torn_writes = torn_writes_;
-  s.crashed = crashed_.load(std::memory_order_relaxed);
-  s.crash_op = crash_op_;
-  return s;
+  return crash_op_;
 }
 
 std::vector<TraceEntry> FaultPlan::Trace() const {

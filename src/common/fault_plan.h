@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -37,15 +38,6 @@ enum class FaultOutcome : uint8_t {
 struct TraceEntry {
   FaultOp op;
   std::string target;
-};
-
-/// Injection counters (what the plan actually did to the run).
-struct FaultPlanStats {
-  int64_t ops_seen = 0;
-  int64_t errors_injected = 0;
-  int64_t torn_writes = 0;
-  bool crashed = false;
-  uint64_t crash_op = 0;  ///< global index of the crashing operation
 };
 
 /// A seeded, deterministic fault schedule shared by every fault-injecting
@@ -116,7 +108,12 @@ class FaultPlan {
   uint64_t DrawUniform(uint64_t n);
 
   uint64_t ops_seen() const;
-  FaultPlanStats GetStats() const;
+  /// Global index of the operation that crashed; meaningful once crashed().
+  uint64_t crash_op() const;
+  /// What the plan did to the run, for the metrics registry
+  /// (`fault.errors_injected`, `fault.torn_writes`).
+  const ShardedCounter* errors_injected() const { return &errors_injected_; }
+  const ShardedCounter* torn_writes() const { return &torn_writes_; }
   std::vector<TraceEntry> Trace() const;
 
   /// The Status injected operations fail with.
@@ -143,8 +140,7 @@ class FaultPlan {
 
   std::atomic<bool> crashed_{false};
   uint64_t crash_op_ BTRIM_GUARDED_BY(mu_) = 0;
-  int64_t errors_injected_ BTRIM_GUARDED_BY(mu_) = 0;
-  int64_t torn_writes_ BTRIM_GUARDED_BY(mu_) = 0;
+  ShardedCounter errors_injected_, torn_writes_;
 };
 
 }  // namespace btrim

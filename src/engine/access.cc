@@ -272,50 +272,41 @@ Status Database::ReadVisible(Transaction* txn, Table* table,
                              bool* from_imrs) {
   (void)table;
   *from_imrs = false;
-  ImrsRow* row = loc.row;
-  if (row != nullptr) {
+  // Settles the read from `row`'s IMRS versions when they decide it (into
+  // `status`); false when the page-store image is the visible one.
+  Status status;
+  auto read_imrs = [&](ImrsRow* row) {
     RowVersion* v =
         ImrsStore::VisibleVersion(row, txn->begin_ts(), txn->id());
-    if (v != nullptr) {
-      if (v->is_delete) return Status::NotFound("row deleted");
-      out->assign(v->data(), v->data_size);
-      row->Touch(Now());
-      loc.part->ilm->metrics.reuse_select.Inc();
-      imrs_ops_.Inc();
-      *from_imrs = true;
-      return Status::OK();
+    if (v == nullptr) {
+      // Row born in the IMRS after this snapshot: it does not exist yet for
+      // this reader, and it has no page-store image. Otherwise it is a
+      // migrated/cached row whose IMRS versions are all newer than the
+      // snapshot, so the pre-migration page-store image is the visible one.
+      if (row->source != RowSource::kInserted) return false;
+      status = Status::NotFound("row newer than snapshot");
+      return true;
     }
-    if (row->source == RowSource::kInserted) {
-      // Row born in the IMRS after this snapshot: it does not exist yet
-      // for this reader, and it has no page-store image.
-      return Status::NotFound("row newer than snapshot");
+    if (v->is_delete) {
+      status = Status::NotFound("row deleted");
+      return true;
     }
-    // Migrated/cached row whose IMRS versions are all newer than the
-    // snapshot: the pre-migration page-store image is the visible one.
-  }
+    out->assign(v->data(), v->data_size);
+    row->Touch(Now());
+    loc.part->ilm->metrics.reuse_select.Inc();
+    imrs_ops_.Inc();
+    *from_imrs = true;
+    return true;
+  };
+  if (loc.row != nullptr && read_imrs(loc.row)) return status;
 
   // Page-store read under a shared row lock (committed read).
   BTRIM_RETURN_IF_ERROR(txn->AcquireLock(loc.rid.Encode(), LockMode::kShared,
                                          options_.lock_timeout_ms));
-  if (row == nullptr) {
+  if (loc.row == nullptr) {
     // The row may have migrated into the IMRS while we waited for the lock.
-    ImrsRow* row2 = rid_map_.Lookup(loc.rid);
-    if (row2 != nullptr) {
-      RowVersion* v =
-          ImrsStore::VisibleVersion(row2, txn->begin_ts(), txn->id());
-      if (v != nullptr) {
-        if (v->is_delete) return Status::NotFound("row deleted");
-        out->assign(v->data(), v->data_size);
-        row2->Touch(Now());
-        loc.part->ilm->metrics.reuse_select.Inc();
-        imrs_ops_.Inc();
-        *from_imrs = true;
-        return Status::OK();
-      }
-      if (row2->source == RowSource::kInserted) {
-        return Status::NotFound("row newer than snapshot");
-      }
-    }
+    ImrsRow* row = rid_map_.Lookup(loc.rid);
+    if (row != nullptr && read_imrs(row)) return status;
   }
   bool contended = false;
   Status s = loc.part->heap->Read(loc.rid, out, &contended);
@@ -526,32 +517,39 @@ Status Database::Delete(Transaction* txn, Table* table, Slice pk) {
 
 Status Database::ScanIndex(Transaction* txn, Table* table, int index_no,
                            Slice lower, Slice upper, size_t limit,
-                           std::vector<ScanRow>* out) {
+                           const std::function<bool(const ScanRow&)>& visitor) {
   BTree* tree = index_no < 0
                     ? table->primary_index()
                     : table->secondaries()[static_cast<size_t>(index_no)]
                           .tree.get();
-  std::vector<std::pair<std::string, uint64_t>> entries;
-  BTRIM_RETURN_IF_ERROR(tree->Scan(lower, upper, limit, &entries));
-
-  for (const auto& [key, rid_enc] : entries) {
-    const Rid rid = Rid::Decode(rid_enc);
-    TablePartition* part = table->PartitionForRid(rid);
-    if (part == nullptr) continue;
+  ScanRow row;
+  size_t visited = 0;
+  Status status;
+  BTRIM_RETURN_IF_ERROR(tree->Scan(lower, upper, [&](Slice, uint64_t rid_enc) {
     Located loc;
-    loc.row = rid_map_.Lookup(rid);
-    loc.rid = rid;
-    loc.part = part;
+    loc.rid = Rid::Decode(rid_enc);
+    loc.part = table->PartitionForRid(loc.rid);
+    if (loc.part == nullptr) return true;
+    loc.row = rid_map_.Lookup(loc.rid);
+    row.rid = loc.rid;
+    status = ReadVisible(txn, table, loc, &row.payload, &row.from_imrs);
+    if (status.IsNotFound()) {  // invisible to this snapshot
+      status = Status::OK();
+      return true;
+    }
+    return status.ok() && visitor(row) && (limit == 0 || ++visited < limit);
+  }));
+  return status;
+}
 
-    ScanRow row;
-    row.rid = rid;
-    Status s = ReadVisible(txn, table, loc, &row.payload, &row.from_imrs);
-    if (s.IsNotFound()) continue;  // invisible to this snapshot
-    if (!s.ok()) return s;
-    out->push_back(std::move(row));
-    if (limit != 0 && out->size() >= limit) break;
-  }
-  return Status::OK();
+Status Database::ScanIndex(Transaction* txn, Table* table, int index_no,
+                           Slice lower, Slice upper, size_t limit,
+                           std::vector<ScanRow>* out) {
+  return ScanIndex(txn, table, index_no, lower, upper, limit,
+                   [out](const ScanRow& row) {
+                     out->push_back(row);
+                     return true;
+                   });
 }
 
 }  // namespace btrim

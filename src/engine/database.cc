@@ -138,6 +138,14 @@ Status Database::RegisterAllMetrics() {
   BTRIM_RETURN_IF_ERROR(imrs_allocator_.RegisterMetrics(r, "imrs"));
   BTRIM_RETURN_IF_ERROR(ilm_->RegisterMetrics(r));
   BTRIM_RETURN_IF_ERROR(cold_->RegisterMetrics(r, "cold"));
+  if (options_.fault_plan != nullptr) {
+    const obs::MetricLabels fault{"fault", "", "", ""};
+    const FaultPlan* plan = options_.fault_plan.get();
+    BTRIM_RETURN_IF_ERROR(r->RegisterCounter("fault.errors_injected", fault,
+                                             plan->errors_injected()));
+    BTRIM_RETURN_IF_ERROR(
+        r->RegisterCounter("fault.torn_writes", fault, plan->torn_writes()));
+  }
   const obs::MetricLabels ckpt{"checkpoint", "", "", ""};
   BTRIM_RETURN_IF_ERROR(r->RegisterCounter("checkpoint.completed", ckpt,
                                            &ckpt_.completed));
@@ -186,6 +194,9 @@ Result<uint16_t> Database::NewFile(const std::string& hint) {
         std::move(device), options_.fault_plan,
         hint + "." + std::to_string(file_id));
   }
+  BTRIM_RETURN_IF_ERROR(device->RegisterMetrics(
+      &metrics_registry_,
+      obs::MetricLabels{"page", hint + "." + std::to_string(file_id), "", ""}));
   buffer_cache_.AttachDevice(file_id, device.get());
   devices_.push_back(std::move(device));
   return file_id;
@@ -246,6 +257,11 @@ Result<Table*> Database::CreateTable(TableOptions options) {
       &metrics_registry_, obs::MetricLabels{"index", options.name, "pk", ""}));
   gc_->AddReclaimHook(
       [tree = table->primary_.get()] { return tree->DrainRetired(); });
+  if (table->hash_index() != nullptr) {
+    BTRIM_RETURN_IF_ERROR(table->hash_index()->RegisterMetrics(
+        &metrics_registry_,
+        obs::MetricLabels{"index", options.name, "hash", ""}));
+  }
 
   // Secondary indexes.
   for (const IndexDef& def : options.secondary_indexes) {

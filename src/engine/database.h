@@ -91,7 +91,7 @@ struct DatabaseOptions {
   std::shared_ptr<FaultPlan> fault_plan;
 };
 
-/// One decoded row returned by scans.
+/// One visible row handed out by Database::ScanIndex.
 struct ScanRow {
   Rid rid;
   std::string payload;
@@ -207,8 +207,14 @@ class Database : public PackClient {
   Status Delete(Transaction* txn, Table* table, Slice pk);
 
   /// Range scan over an index (`index_no` = -1 for the primary, else the
-  /// secondary index position). Returns visible rows with
-  /// lower <= key < upper (empty upper = to the end).
+  /// secondary index position): hands the rows visible to `txn` with
+  /// lower <= key < upper (empty upper = to the end) to `visitor` in key
+  /// order until it returns false or `limit` (0 = no limit) visible rows
+  /// were visited. The reused ScanRow is valid only during the call.
+  Status ScanIndex(Transaction* txn, Table* table, int index_no, Slice lower,
+                   Slice upper, size_t limit,
+                   const std::function<bool(const ScanRow&)>& visitor);
+  /// Collecting form: appends the visible rows to `*out`.
   Status ScanIndex(Transaction* txn, Table* table, int index_no, Slice lower,
                    Slice upper, size_t limit, std::vector<ScanRow>* out);
 

@@ -10,10 +10,11 @@
 // Rows masked by an IMRS-resident version are skipped here and served by
 // pass 2 at the transaction's snapshot.
 //
-// Pass 2 walks the primary index for everything pass 1 did not emit: IMRS
-// rows resolve through VisibleVersion at the transaction's begin timestamp;
-// the rest are committed reads of their heap (or just-turned-cold) home via
-// ReadVisible, exactly like ScanIndex.
+// Pass 2 streams the primary index for everything pass 1 did not emit, one
+// leaf at a time through the index visitor (no index latch is held while a
+// row is read): IMRS rows resolve through VisibleVersion at the
+// transaction's begin timestamp; the rest are committed reads of their heap
+// (or just-turned-cold) home via ReadVisible, exactly like ScanIndex.
 //
 // Projection pushdown only pays off in pass 1: a projected sealed-segment
 // scan touches (and counts toward cold.scan_bytes_scanned) only the
@@ -121,48 +122,46 @@ Status Database::ScanTable(Transaction* txn, Table* table,
 
   // --- pass 2: primary-index sweep for IMRS + heap rows ---------------------
   if (!stopped) {
-    std::vector<std::pair<std::string, uint64_t>> entries;
-    BTRIM_RETURN_IF_ERROR(
-        table->primary_index()->Scan(Slice(), Slice(), /*limit=*/0,
-                                     &entries));
     std::string payload;
-    for (const auto& [key, rid_enc] : entries) {
-      if (stopped) break;
-      if (emitted.find(rid_enc) != emitted.end()) continue;
-      const Rid rid = Rid::Decode(rid_enc);
-      TablePartition* part = table->PartitionForRid(rid);
-      if (part == nullptr) continue;
-      Located loc;
-      loc.row = rid_map_.Lookup(rid);
-      loc.rid = rid;
-      loc.part = part;
-      bool from_imrs = false;
-      Status s = ReadVisible(txn, table, loc, &payload, &from_imrs);
-      if (s.IsNotFound()) {
-        ++local.rows_skipped;  // invisible to this snapshot / fully deleted
-        continue;
-      }
-      BTRIM_RETURN_IF_ERROR(s);
-      RecordView view(&table->schema(), Slice(payload));
-      if (!view.valid()) {
-        return Status::Corruption("undecodable record at rid " +
-                                  rid.ToString());
-      }
-      HtapRow out;
-      out.rid = rid;
-      out.view = &view;
-      ++local.rows_emitted;
-      if (from_imrs) {
-        ++local.rows_from_imrs;
-      } else if (cold_->Exists(rid)) {
-        // Raced with Pack: the home moved cold between pass 1 and this
-        // read; ReadVisible materialized it via the cold point-read path.
-        ++local.rows_from_cold;
-      } else {
-        ++local.rows_from_heap;
-      }
-      if (!visitor(out)) stopped = true;
-    }
+    Status status;
+    BTRIM_RETURN_IF_ERROR(table->primary_index()->Scan(
+        Slice(), Slice(), [&](Slice, uint64_t rid_enc) {
+          if (emitted.find(rid_enc) != emitted.end()) return true;
+          Located loc;
+          loc.rid = Rid::Decode(rid_enc);
+          loc.part = table->PartitionForRid(loc.rid);
+          if (loc.part == nullptr) return true;
+          loc.row = rid_map_.Lookup(loc.rid);
+          bool from_imrs = false;
+          status = ReadVisible(txn, table, loc, &payload, &from_imrs);
+          if (status.IsNotFound()) {
+            status = Status::OK();
+            ++local.rows_skipped;  // invisible to this snapshot / deleted
+            return true;
+          }
+          if (!status.ok()) return false;
+          RecordView view(&table->schema(), Slice(payload));
+          if (!view.valid()) {
+            status = Status::Corruption("undecodable record at rid " +
+                                        loc.rid.ToString());
+            return false;
+          }
+          HtapRow out;
+          out.rid = loc.rid;
+          out.view = &view;
+          ++local.rows_emitted;
+          if (from_imrs) {
+            ++local.rows_from_imrs;
+          } else if (cold_->Exists(loc.rid)) {
+            // Raced with Pack: the home moved cold between pass 1 and
+            // this read; ReadVisible read it through the cold store.
+            ++local.rows_from_cold;
+          } else {
+            ++local.rows_from_heap;
+          }
+          return visitor(out);
+        }));
+    BTRIM_RETURN_IF_ERROR(status);
   }
 
   return finish();

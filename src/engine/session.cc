@@ -112,17 +112,17 @@ Status Session::Scan(const std::string& table_name, int64_t start_key,
   if (!table.ok()) return table.status();
   if (limit == 0) return Status::OK();
   return RunOp([&](Transaction* txn) {
-    std::vector<ScanRow> raw;
+    bool valid = true;
     BTRIM_RETURN_IF_ERROR(db_->ScanIndex(
         txn, *table, /*index_no=*/-1,
-        (*table)->pk_encoder().KeyForInts({start_key}), Slice(), limit, &raw));
-    rows->reserve(raw.size());
-    for (const ScanRow& r : raw) {
-      RecordView view(&(*table)->schema(), r.payload);
-      if (!view.valid()) return Status::Corruption("undecodable kv record");
-      rows->push_back(Row{view.GetInt64(0), view.GetString(1).ToString()});
-    }
-    return Status::OK();
+        (*table)->pk_encoder().KeyForInts({start_key}), Slice(), limit,
+        [&](const ScanRow& r) {
+          RecordView view(&(*table)->schema(), r.payload);
+          if (!(valid = view.valid())) return false;
+          rows->push_back(Row{view.GetInt64(0), view.GetString(1).ToString()});
+          return true;
+        }));
+    return valid ? Status::OK() : Status::Corruption("undecodable kv record");
   });
 }
 

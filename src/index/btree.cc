@@ -674,77 +674,66 @@ Status BTree::DeletePessimistic(Slice key) {
   }
 }
 
-Status BTree::Scan(Slice lower, Slice upper, size_t limit,
-                   std::vector<std::pair<std::string, uint64_t>>* out) const {
+Status BTree::Scan(Slice lower, Slice upper,
+                   const ScanVisitor& visitor) const {
   scans_.Inc();
   IndexEpochGuard epoch;
-  // Resume cursor: the last emitted key (exclusive) or the scan's lower
+  // Resume cursor: the last visited key (exclusive) or the scan's lower
   // bound (inclusive). A failed sibling-hop validation re-descends to the
-  // cursor, so restarts never emit an entry twice. The string doubles as
-  // the reusable key scratch buffer across entries.
+  // cursor, so restarts never visit an entry twice.
   std::string resume(lower.data(), lower.size());
   bool resume_exclusive = false;
+  // One leaf's in-range entries, copied out so the visitor runs unlatched:
+  // the keys back to back in `keys`, and (end offset in `keys`, value) per
+  // entry. Both buffers are reused across leaves.
+  std::string keys;
+  std::vector<std::pair<size_t, uint64_t>> entries;
   for (;;) {
     uint32_t leaf_no = 0;
     Result<PageGuard> fixed =
         DescendToLeaf(Slice(resume), LatchMode::kShared, &leaf_no);
     if (!fixed.ok()) return fixed.status();
     PageGuard cur = std::move(*fixed);
-    bool hop_failed = false;
-    while (!hop_failed) {
+    for (;;) {
       Node node(cur.data());
       uint16_t pos = resume_exclusive ? node.UpperBound(Slice(resume))
                                       : node.LowerBound(Slice(resume));
-      if (pos < node.count()) {
-        // Reserve from the leaf's entry count, but never below capacity
-        // doubling, so bulk scans keep amortized growth.
-        const size_t want = out->size() + (node.count() - pos);
-        if (out->capacity() < want) {
-          out->reserve(std::max(want, out->capacity() * 2));
-        }
-      }
+      keys.clear();
+      entries.clear();
       for (; pos < node.count(); ++pos) {
         Slice k = node.KeyAt(pos);
-        if (!upper.empty() && k.compare(upper) >= 0) return Status::OK();
-        out->emplace_back(std::string(k.data(), k.size()), node.ValueAt(pos));
-        if (limit != 0 && out->size() >= limit) return Status::OK();
-        resume.assign(k.data(), k.size());
-        resume_exclusive = true;
+        if (!upper.empty() && k.compare(upper) >= 0) break;
+        keys.append(k.data(), k.size());
+        entries.emplace_back(keys.size(), node.ValueAt(pos));
       }
-      const uint32_t next = node.right_sibling();
-      if (next == kInvalidPage) return Status::OK();
+      // A leaf left unfinished holds the upper bound: nothing to hop to.
+      const uint32_t next =
+          pos < node.count() ? kInvalidPage : node.right_sibling();
       // Capture the sibling's version under this leaf's latch; validate
       // after hopping, exactly like a parent-to-child link.
-      const uint64_t next_version = LoadVersion(next);
+      const uint64_t next_version =
+          next == kInvalidPage ? 0 : LoadVersion(next);
       cur.Release();
+      size_t begin = 0;
+      for (const auto& [end, value] : entries) {
+        const Slice k(keys.data() + begin, end - begin);
+        if (!visitor(k, value)) return Status::OK();
+        resume.assign(k.data(), k.size());
+        resume_exclusive = true;
+        begin = end;
+      }
+      if (next == kInvalidPage) return Status::OK();
       Result<PageGuard> next_guard =
           cache_->FixPage(PageId{file_id_, next}, LatchMode::kShared);
       if (!next_guard.ok()) return next_guard.status();
       if (LoadVersion(next) != next_version ||
           Node(next_guard->data()).IsObsolete()) {
-        hop_failed = true;
         break;
       }
       cur = std::move(*next_guard);
     }
     olc_restarts_.Inc();
   }
-}
-
-Status BTree::ScanPrefix(
-    Slice prefix, size_t limit,
-    std::vector<std::pair<std::string, uint64_t>>* out) const {
-  // Upper bound: prefix with the last byte bumped; if all 0xff, scan to the
-  // end of the tree.
-  std::string upper(prefix.data(), prefix.size());
-  while (!upper.empty()) {
-    if (static_cast<unsigned char>(upper.back()) != 0xff) {
-      upper.back() = static_cast<char>(upper.back() + 1);
-      break;
-    }
-    upper.pop_back();
-  }
-  return Scan(prefix, Slice(upper), limit, out);
 }
 
 Status BTree::RegisterMetrics(obs::MetricsRegistry* registry,

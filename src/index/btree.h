@@ -90,14 +90,14 @@ class BTree {
   /// In-place value update for an existing key. NotFound if absent.
   Status UpdateValue(Slice key, uint64_t value);
 
-  /// Collects all entries with lower <= key < upper into `out`
-  /// (set upper empty for "to the end"). `limit` of 0 means unlimited.
-  Status Scan(Slice lower, Slice upper, size_t limit,
-              std::vector<std::pair<std::string, uint64_t>>* out) const;
+  /// Visitor of one index entry; returns false to stop the scan.
+  using ScanVisitor = std::function<bool(Slice key, uint64_t value)>;
 
-  /// Collects all entries whose key starts with `prefix`.
-  Status ScanPrefix(Slice prefix, size_t limit,
-                    std::vector<std::pair<std::string, uint64_t>>* out) const;
+  /// Hands every entry with lower <= key < upper (empty upper: to the end)
+  /// to `visitor` in key order, `key` valid only during the call. Each
+  /// leaf's entries are copied out and its latch released before the
+  /// visitor runs, so the visitor may block or call back into the tree.
+  Status Scan(Slice lower, Slice upper, const ScanVisitor& visitor) const;
 
   /// Key for a non-unique index entry: user key + big-endian encoded RID.
   static std::string MakeNonUniqueKey(Slice user_key, Rid rid);

@@ -10,18 +10,11 @@
 #include "common/hash.h"
 #include "common/slice.h"
 #include "common/spinlock.h"
+#include "common/status.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics_registry.h"
 
 namespace btrim {
-
-/// Hash-index counters.
-struct HashIndexStats {
-  int64_t entries = 0;
-  int64_t inserts = 0;
-  int64_t erases = 0;
-  int64_t lookups = 0;
-  int64_t hits = 0;
-};
 
 /// In-memory, table-specific hash index over IMRS rows (paper Sec. II).
 ///
@@ -110,14 +103,18 @@ class HashIndex {
 
   int64_t Size() const { return entries_.Load(); }
 
-  HashIndexStats GetStats() const {
-    HashIndexStats s;
-    s.entries = entries_.Load();
-    s.inserts = inserts_.Load();
-    s.erases = erases_.Load();
-    s.lookups = lookups_.Load();
-    s.hits = hits_.Load();
-    return s;
+  /// Registers the counters under `hash_index.*` with the given labels.
+  Status RegisterMetrics(obs::MetricsRegistry* registry,
+                         const obs::MetricLabels& labels) const {
+    BTRIM_RETURN_IF_ERROR(registry->RegisterGaugeFn(
+        "hash_index.entries", labels, [this] { return Size(); }));
+    BTRIM_RETURN_IF_ERROR(
+        registry->RegisterCounter("hash_index.inserts", labels, &inserts_));
+    BTRIM_RETURN_IF_ERROR(
+        registry->RegisterCounter("hash_index.erases", labels, &erases_));
+    BTRIM_RETURN_IF_ERROR(
+        registry->RegisterCounter("hash_index.lookups", labels, &lookups_));
+    return registry->RegisterCounter("hash_index.hits", labels, &hits_);
   }
 
  private:

@@ -8,7 +8,18 @@
 #include <cstring>
 #include <thread>
 
+#include "obs/metrics_registry.h"
+
 namespace btrim {
+
+Status Device::RegisterMetrics(obs::MetricsRegistry* registry,
+                               const obs::MetricLabels& labels) const {
+  BTRIM_RETURN_IF_ERROR(
+      registry->RegisterCounter("device.page_reads", labels, &reads_));
+  BTRIM_RETURN_IF_ERROR(
+      registry->RegisterCounter("device.page_writes", labels, &writes_));
+  return registry->RegisterCounter("device.syncs", labels, &syncs_);
+}
 
 MemDevice::MemDevice(uint32_t latency_micros)
     : latency_micros_(latency_micros) {}
@@ -21,7 +32,7 @@ void MemDevice::SimulateLatency() {
 
 Status MemDevice::ReadPage(uint32_t page_no, char* buf) {
   SimulateLatency();
-  reads_.fetch_add(1, std::memory_order_relaxed);
+  reads_.Inc();
   MutexGuard guard(mu_);
   if (page_no >= pages_.size() || pages_[page_no] == nullptr) {
     memset(buf, 0, kPageSize);
@@ -33,7 +44,7 @@ Status MemDevice::ReadPage(uint32_t page_no, char* buf) {
 
 Status MemDevice::WritePage(uint32_t page_no, const char* buf) {
   SimulateLatency();
-  writes_.fetch_add(1, std::memory_order_relaxed);
+  writes_.Inc();
   MutexGuard guard(mu_);
   if (page_no >= pages_.size()) {
     pages_.resize(page_no + 1);
@@ -51,15 +62,10 @@ uint32_t MemDevice::NumPages() const {
 }
 
 Status MemDevice::Sync() {
-  syncs_.fetch_add(1, std::memory_order_relaxed);
+  syncs_.Inc();
   return Status::OK();
 }
 
-DeviceStats MemDevice::GetStats() const {
-  return DeviceStats{reads_.load(std::memory_order_relaxed),
-                     writes_.load(std::memory_order_relaxed),
-                     syncs_.load(std::memory_order_relaxed)};
-}
 
 Result<std::unique_ptr<FileDevice>> FileDevice::Open(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
@@ -81,7 +87,7 @@ FileDevice::FileDevice(int fd, std::string path, uint32_t num_pages)
 FileDevice::~FileDevice() { ::close(fd_); }
 
 Status FileDevice::ReadPage(uint32_t page_no, char* buf) {
-  reads_.fetch_add(1, std::memory_order_relaxed);
+  reads_.Inc();
   if (page_no >= num_pages_.load(std::memory_order_acquire)) {
     memset(buf, 0, kPageSize);
     return Status::OK();
@@ -98,7 +104,7 @@ Status FileDevice::ReadPage(uint32_t page_no, char* buf) {
 }
 
 Status FileDevice::WritePage(uint32_t page_no, const char* buf) {
-  writes_.fetch_add(1, std::memory_order_relaxed);
+  writes_.Inc();
   const ssize_t n = ::pwrite(fd_, buf, kPageSize,
                              static_cast<off_t>(page_no) * kPageSize);
   if (n != static_cast<ssize_t>(kPageSize)) {
@@ -117,17 +123,12 @@ uint32_t FileDevice::NumPages() const {
 }
 
 Status FileDevice::Sync() {
-  syncs_.fetch_add(1, std::memory_order_relaxed);
+  syncs_.Inc();
   if (::fdatasync(fd_) != 0) {
     return Status::IOError("fdatasync " + path_ + ": " + strerror(errno));
   }
   return Status::OK();
 }
 
-DeviceStats FileDevice::GetStats() const {
-  return DeviceStats{reads_.load(std::memory_order_relaxed),
-                     writes_.load(std::memory_order_relaxed),
-                     syncs_.load(std::memory_order_relaxed)};
-}
 
 }  // namespace btrim

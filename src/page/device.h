@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -14,12 +15,10 @@
 
 namespace btrim {
 
-/// Counters describing device traffic (used by experiments to report I/O).
-struct DeviceStats {
-  int64_t page_reads = 0;
-  int64_t page_writes = 0;
-  int64_t syncs = 0;
-};
+namespace obs {
+class MetricsRegistry;
+struct MetricLabels;
+}  // namespace obs
 
 /// Abstract page-granular storage device for data files and page-store
 /// structures. Reading a never-written page yields a zeroed image, which the
@@ -41,7 +40,14 @@ class Device {
   /// Makes all previous writes durable.
   virtual Status Sync() = 0;
 
-  virtual DeviceStats GetStats() const = 0;
+  /// Registers the traffic counters (`device.page_reads`,
+  /// `device.page_writes`, `device.syncs`) with the given labels.
+  Status RegisterMetrics(obs::MetricsRegistry* registry,
+                         const obs::MetricLabels& labels) const;
+
+ protected:
+  // Operations that succeeded, bumped by each implementation.
+  ShardedCounter reads_, writes_, syncs_;
 };
 
 /// Heap-memory device. Optionally injects a fixed per-I/O latency to
@@ -56,7 +62,6 @@ class MemDevice : public Device {
   Status WritePage(uint32_t page_no, const char* buf) override;
   uint32_t NumPages() const override;
   Status Sync() override;
-  DeviceStats GetStats() const override;
 
  private:
   void SimulateLatency();
@@ -64,9 +69,6 @@ class MemDevice : public Device {
   const uint32_t latency_micros_;
   mutable Mutex mu_{LockRank::kDeviceInternal, "page.mem_device"};
   std::vector<std::unique_ptr<char[]>> pages_ BTRIM_GUARDED_BY(mu_);
-  std::atomic<int64_t> reads_{0};
-  std::atomic<int64_t> writes_{0};
-  std::atomic<int64_t> syncs_{0};
 };
 
 /// File-backed device using pread/pwrite.
@@ -80,7 +82,6 @@ class FileDevice : public Device {
   Status WritePage(uint32_t page_no, const char* buf) override;
   uint32_t NumPages() const override;
   Status Sync() override;
-  DeviceStats GetStats() const override;
 
  private:
   FileDevice(int fd, std::string path, uint32_t num_pages);
@@ -88,9 +89,6 @@ class FileDevice : public Device {
   const int fd_;
   const std::string path_;
   std::atomic<uint32_t> num_pages_;
-  std::atomic<int64_t> reads_{0};
-  std::atomic<int64_t> writes_{0};
-  std::atomic<int64_t> syncs_{0};
 };
 
 }  // namespace btrim

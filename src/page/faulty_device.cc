@@ -41,12 +41,12 @@ Status FaultyDevice::ReadPage(uint32_t page_no, char* buf) {
     auto it = pending_.find(page_no);
     if (it != pending_.end()) {
       memcpy(buf, it->second.data(), kPageSize);
-      reads_.fetch_add(1, std::memory_order_relaxed);
+      reads_.Inc();
       return Status::OK();
     }
   }
   BTRIM_RETURN_IF_ERROR(inner_->ReadPage(page_no, buf));
-  reads_.fetch_add(1, std::memory_order_relaxed);
+  reads_.Inc();
   return Status::OK();
 }
 
@@ -90,7 +90,7 @@ Status FaultyDevice::WritePage(uint32_t page_no, const char* buf) {
   }
   memcpy(image.data(), buf, kPageSize);
   pending_num_pages_ = std::max(pending_num_pages_, page_no + 1);
-  writes_.fetch_add(1, std::memory_order_relaxed);
+  writes_.Inc();
   return Status::OK();
 }
 
@@ -116,17 +116,10 @@ Status FaultyDevice::Sync() {
     it = pending_.erase(it);
   }
   BTRIM_RETURN_IF_ERROR(inner_->Sync());
-  syncs_.fetch_add(1, std::memory_order_relaxed);
+  syncs_.Inc();
   return Status::OK();
 }
 
-DeviceStats FaultyDevice::GetStats() const {
-  DeviceStats s;
-  s.page_reads = reads_.load(std::memory_order_relaxed);
-  s.page_writes = writes_.load(std::memory_order_relaxed);
-  s.syncs = syncs_.load(std::memory_order_relaxed);
-  return s;
-}
 
 size_t FaultyDevice::PendingPages() const {
   MutexGuard guard(mu_);

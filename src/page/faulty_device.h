@@ -24,8 +24,8 @@ namespace btrim {
 /// engine never depends on partially-durable pages (it has no page
 /// checksums, so recovery assumes page writes are atomic — see DESIGN.md).
 ///
-/// GetStats() counts only operations that succeeded end-to-end, so the
-/// accounting a benchmark reads is unaffected by injected failures.
+/// Its device.* counters count only operations that succeeded end-to-end,
+/// so the accounting a benchmark reads is unaffected by injected failures.
 class FaultyDevice : public Device {
  public:
   FaultyDevice(std::unique_ptr<Device> inner, std::shared_ptr<FaultPlan> plan,
@@ -35,7 +35,6 @@ class FaultyDevice : public Device {
   Status WritePage(uint32_t page_no, const char* buf) override;
   uint32_t NumPages() const override;
   Status Sync() override;
-  DeviceStats GetStats() const override;
 
   /// Pages buffered since the last successful sync (test introspection).
   size_t PendingPages() const;
@@ -50,10 +49,6 @@ class FaultyDevice : public Device {
   std::map<uint32_t, std::string> pending_ BTRIM_GUARDED_BY(mu_);
   // max page_no+1 among pending writes
   uint32_t pending_num_pages_ BTRIM_GUARDED_BY(mu_) = 0;
-
-  std::atomic<int64_t> reads_{0};
-  std::atomic<int64_t> writes_{0};
-  std::atomic<int64_t> syncs_{0};
 };
 
 }  // namespace btrim

@@ -1,7 +1,6 @@
 #include "tpcc/txns.h"
 
 #include <algorithm>
-#include <set>
 #include <tuple>
 #include <vector>
 
@@ -52,11 +51,16 @@ Status PickCustomerKey(TpccContext* ctx, TpccRandom* rnd, Transaction* txn,
   std::string upper = prefix;
   upper.back() = static_cast<char>(upper.back() + 1);
 
-  std::vector<ScanRow> rows;
-  BTRIM_RETURN_IF_ERROR(ctx->db->ScanIndex(txn, customer,
-                                           kCustomerByLastName, Slice(prefix),
-                                           Slice(upper), 0, &rows));
-  if (rows.empty()) {
+  std::vector<std::pair<std::string, int>> by_first;  // (c_first, c_id)
+  BTRIM_RETURN_IF_ERROR(ctx->db->ScanIndex(
+      txn, customer, kCustomerByLastName, Slice(prefix), Slice(upper), 0,
+      [&](const ScanRow& r) {
+        RecordView v(&customer->schema(), Slice(r.payload));
+        by_first.emplace_back(v.GetString(cust::kFirst).ToString(),
+                              static_cast<int>(v.GetInt(cust::kCId)));
+        return true;
+      }));
+  if (by_first.empty()) {
     // Fall back to an id lookup (scaled-down name space can miss).
     const int c_id = rnd->CustomerId(ctx->scale.customers_per_district);
     *out_c_id = c_id;
@@ -64,12 +68,6 @@ Status PickCustomerKey(TpccContext* ctx, TpccRandom* rnd, Transaction* txn,
     return Status::OK();
   }
   // Middle customer ordered by c_first.
-  std::vector<std::pair<std::string, int>> by_first;
-  for (const ScanRow& r : rows) {
-    RecordView v(&customer->schema(), Slice(r.payload));
-    by_first.emplace_back(v.GetString(cust::kFirst).ToString(),
-                          static_cast<int>(v.GetInt(cust::kCId)));
-  }
   std::sort(by_first.begin(), by_first.end());
   const int c_id =
       by_first[(by_first.size() - 1) / 2].second;
@@ -345,14 +343,15 @@ TxnResult RunOrderStatus(TpccContext* ctx, TpccRandom* rnd, int w_id) {
     std::string upper = prefix;
     KeyEncoder::AppendInt(&upper, int64_t{1} << 40);  // past any o_id
 
-    std::vector<ScanRow> orders;
-    BTRIM_RETURN_IF_ERROR(db->ScanIndex(txn.get(), t.orders,
-                                        kOrdersByCustomer, Slice(prefix),
-                                        Slice(upper), 0, &orders));
-    if (orders.empty()) return Status::OK();  // customer with no orders
-
-    RecordView ov(&t.orders->schema(), Slice(orders.back().payload));
-    const int o_id = static_cast<int>(ov.GetInt(ord::kOId));
+    int o_id = -1;
+    BTRIM_RETURN_IF_ERROR(db->ScanIndex(
+        txn.get(), t.orders, kOrdersByCustomer, Slice(prefix), Slice(upper),
+        0, [&](const ScanRow& r) {
+          RecordView ov(&t.orders->schema(), Slice(r.payload));
+          o_id = static_cast<int>(ov.GetInt(ord::kOId));
+          return true;
+        }));
+    if (o_id < 0) return Status::OK();  // customer with no orders
 
     // Its order lines.
     std::string ol_lower;
@@ -363,11 +362,9 @@ TxnResult RunOrderStatus(TpccContext* ctx, TpccRandom* rnd, int w_id) {
     KeyEncoder::AppendInt(&ol_upper, w_id);
     KeyEncoder::AppendInt(&ol_upper, d_id);
     KeyEncoder::AppendInt(&ol_upper, o_id + 1);
-    std::vector<ScanRow> lines;
-    BTRIM_RETURN_IF_ERROR(db->ScanIndex(txn.get(), t.order_line, -1,
-                                        Slice(ol_lower), Slice(ol_upper), 0,
-                                        &lines));
-    return Status::OK();
+    return db->ScanIndex(txn.get(), t.order_line, -1, Slice(ol_lower),
+                         Slice(ol_upper), 0,
+                         [](const ScanRow&) { return true; });
   };
 
   return Finish(db, txn.get(), body());
@@ -389,13 +386,15 @@ TxnResult RunDelivery(TpccContext* ctx, TpccRandom* rnd, int w_id) {
       std::string upper;
       KeyEncoder::AppendInt(&upper, w_id);
       KeyEncoder::AppendInt(&upper, d_id + 1);
-      std::vector<ScanRow> oldest;
-      BTRIM_RETURN_IF_ERROR(db->ScanIndex(txn.get(), t.new_orders, -1,
-                                          Slice(lower), Slice(upper), 1,
-                                          &oldest));
-      if (oldest.empty()) continue;  // district fully delivered
-      RecordView nv(&t.new_orders->schema(), Slice(oldest[0].payload));
-      const int o_id = static_cast<int>(nv.GetInt(no::kOId));
+      int o_id = -1;
+      BTRIM_RETURN_IF_ERROR(db->ScanIndex(
+          txn.get(), t.new_orders, -1, Slice(lower), Slice(upper), 1,
+          [&](const ScanRow& r) {
+            RecordView nv(&t.new_orders->schema(), Slice(r.payload));
+            o_id = static_cast<int>(nv.GetInt(no::kOId));
+            return true;
+          }));
+      if (o_id < 0) continue;  // district fully delivered
 
       Status s = db->Delete(
           txn.get(), t.new_orders,
@@ -423,24 +422,26 @@ TxnResult RunDelivery(TpccContext* ctx, TpccRandom* rnd, int w_id) {
       KeyEncoder::AppendInt(&ol_upper, w_id);
       KeyEncoder::AppendInt(&ol_upper, d_id);
       KeyEncoder::AppendInt(&ol_upper, o_id + 1);
-      std::vector<ScanRow> lines;
-      BTRIM_RETURN_IF_ERROR(db->ScanIndex(txn.get(), t.order_line, -1,
-                                          Slice(ol_lower), Slice(ol_upper), 0,
-                                          &lines));
       double total = 0.0;
-      for (const ScanRow& line : lines) {
-        RecordView lv(&t.order_line->schema(), Slice(line.payload));
-        total += lv.GetDouble(ol::kAmount);
-        const int number = static_cast<int>(lv.GetInt(ol::kNumber));
-        BTRIM_RETURN_IF_ERROR(db->Update(
-            txn.get(), t.order_line,
-            t.order_line->pk_encoder().KeyForInts({w_id, d_id, o_id, number}),
-            [&](std::string* payload) {
-              RecordEditor e(&t.order_line->schema(), Slice(*payload));
-              e.SetInt64(ol::kDeliveryD, kTxnDate);
-              *payload = e.Encode();
-            }));
-      }
+      Status update;
+      BTRIM_RETURN_IF_ERROR(db->ScanIndex(
+          txn.get(), t.order_line, -1, Slice(ol_lower), Slice(ol_upper), 0,
+          [&](const ScanRow& line) {
+            RecordView lv(&t.order_line->schema(), Slice(line.payload));
+            total += lv.GetDouble(ol::kAmount);
+            const int number = static_cast<int>(lv.GetInt(ol::kNumber));
+            update = db->Update(
+                txn.get(), t.order_line,
+                t.order_line->pk_encoder().KeyForInts(
+                    {w_id, d_id, o_id, number}),
+                [&](std::string* payload) {
+                  RecordEditor e(&t.order_line->schema(), Slice(*payload));
+                  e.SetInt64(ol::kDeliveryD, kTxnDate);
+                  *payload = e.Encode();
+                });
+            return update.ok();
+          }));
+      BTRIM_RETURN_IF_ERROR(update);
 
       BTRIM_RETURN_IF_ERROR(db->Update(
           txn.get(), t.customer,
@@ -486,23 +487,25 @@ TxnResult RunStockLevel(TpccContext* ctx, TpccRandom* rnd, int w_id) {
     KeyEncoder::AppendInt(&upper, w_id);
     KeyEncoder::AppendInt(&upper, d_id);
     KeyEncoder::AppendInt(&upper, next_o_id);
-    std::vector<ScanRow> lines;
-    BTRIM_RETURN_IF_ERROR(db->ScanIndex(txn.get(), t.order_line, -1,
-                                        Slice(lower), Slice(upper), 0,
-                                        &lines));
-
-    std::set<int> item_ids;
-    for (const ScanRow& line : lines) {
-      RecordView lv(&t.order_line->schema(), Slice(line.payload));
-      item_ids.insert(static_cast<int>(lv.GetInt(ol::kIId)));
-    }
+    std::vector<int> item_ids;
+    BTRIM_RETURN_IF_ERROR(db->ScanIndex(
+        txn.get(), t.order_line, -1, Slice(lower), Slice(upper), 0,
+        [&](const ScanRow& line) {
+          RecordView lv(&t.order_line->schema(), Slice(line.payload));
+          item_ids.push_back(static_cast<int>(lv.GetInt(ol::kIId)));
+          return true;
+        }));
+    std::sort(item_ids.begin(), item_ids.end());
+    item_ids.erase(std::unique(item_ids.begin(), item_ids.end()),
+                   item_ids.end());
 
     int low_stock = 0;
+    std::string skey, srow;  // reused across items
     for (int i_id : item_ids) {
-      std::string srow;
-      Status s = db->SelectByKey(txn.get(), t.stock,
-                                 t.stock->pk_encoder().KeyForInts({w_id, i_id}),
-                                 &srow);
+      skey.clear();
+      KeyEncoder::AppendInt(&skey, w_id);
+      KeyEncoder::AppendInt(&skey, i_id);
+      Status s = db->SelectByKey(txn.get(), t.stock, Slice(skey), &srow);
       if (s.IsNotFound()) continue;
       BTRIM_RETURN_IF_ERROR(s);
       RecordView sv(&t.stock->schema(), Slice(srow));

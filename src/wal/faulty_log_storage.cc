@@ -1,5 +1,7 @@
 #include "wal/faulty_log_storage.h"
 
+#include <algorithm>
+
 #include "obs/trace_ring.h"
 
 namespace btrim {
@@ -120,6 +122,20 @@ Status FaultyLogStorage::DropBefore(uint64_t mark) {
 int64_t FaultyLogStorage::Size() const {
   MutexGuard guard(mu_);
   return inner_->Size() + static_cast<int64_t>(tail_.size());
+}
+
+Status FaultyLogStorage::TrimTail(uint64_t keep) {
+  MutexGuard guard(mu_);
+  if (plan_->crashed()) return FaultPlan::CrashedError();
+  // Not a scripted op: recovery's cut of a torn tail leaves the op indexes
+  // of a torture run as they were.
+  const uint64_t inner = static_cast<uint64_t>(inner_->Size());
+  if (keep >= inner) {
+    tail_.resize(std::min<uint64_t>(tail_.size(), keep - inner));
+    return Status::OK();
+  }
+  tail_.clear();
+  return inner_->TrimTail(keep);
 }
 
 int64_t FaultyLogStorage::PendingBytes() const {

@@ -37,6 +37,7 @@ class FaultyLogStorage : public LogStorage {
   Result<uint64_t> RollOver() override;
   Status DropBefore(uint64_t mark) override;
   int64_t Size() const override;
+  Status TrimTail(uint64_t keep) override;
 
   /// Bytes appended since the last successful sync (test introspection).
   int64_t PendingBytes() const;

@@ -71,6 +71,15 @@ int64_t MemLogStorage::Size() const {
   return static_cast<int64_t>(end_ - start_);
 }
 
+Status MemLogStorage::TrimTail(uint64_t keep) {
+  MutexGuard guard(mu_);
+  end_ = std::min(end_, start_ + keep);
+  // Keep exactly the chunks up to end_: Append writes into the last one.
+  chunks_.resize((end_ + kChunkBytes - 1) / kChunkBytes -
+                 start_ / kChunkBytes);
+  return Status::OK();
+}
+
 // --- FileLogStorage ---------------------------------------------------------
 
 namespace {
@@ -236,6 +245,28 @@ int64_t FileLogStorage::Size() const {
   return size;
 }
 
+Status FileLogStorage::TrimTail(uint64_t keep) {
+  MutexGuard guard(mu_);
+  RwSpinLockWriteGuard append_guard(append_latch_);
+  uint64_t archived = 0;
+  for (const auto& archive : archives_) {
+    archived += static_cast<uint64_t>(archive.second);
+    // RollOver syncs a segment before archiving it, so no crash leaves a
+    // partial frame inside an archive.
+    if (keep < archived) {
+      return Status::Corruption("bad log frame inside archived segment " +
+                                ArchivePath(archive.first));
+    }
+  }
+  const int64_t active = static_cast<int64_t>(keep - archived);
+  if (active >= active_bytes_.load()) return Status::OK();
+  if (::ftruncate(fd_, active) != 0 || ::fdatasync(fd_) != 0) {
+    return Status::IOError("truncate " + path_ + ": " + strerror(errno));
+  }
+  active_bytes_.store(active);
+  return Status::OK();
+}
+
 // --- Log --------------------------------------------------------------------
 
 Log::Log(std::unique_ptr<LogStorage> storage) : storage_(std::move(storage)) {}
@@ -336,7 +367,10 @@ Status Log::Replay(const std::function<bool(const LogRecord&)>& fn) {
   LogRecord rec;
   while (true) {
     Status s = ParseLogRecord(&input, &rec);
-    if (s.IsNotFound()) return Status::OK();  // clean or torn end
+    if (s.IsNotFound()) {  // clean or torn end
+      if (input.empty()) return Status::OK();
+      return storage_->TrimTail(content.size() - input.size());
+    }
     BTRIM_RETURN_IF_ERROR(s);
     if (!fn(rec)) return Status::OK();
   }

@@ -39,6 +39,11 @@ class LogStorage {
   virtual Status DropBefore(uint64_t mark) = 0;
   /// Retained bytes.
   virtual int64_t Size() const = 0;
+  /// Cuts the retained bytes back to the first `keep` (offsets as ReadAll
+  /// returns them) and makes the cut durable, so the next append follows
+  /// byte `keep`. Only the active segment may lose bytes: a cut reaching
+  /// into an archived segment is Corruption.
+  virtual Status TrimTail(uint64_t keep) = 0;
 };
 
 /// Heap-backed log storage (fast experiments, unit tests, and every log of
@@ -62,6 +67,7 @@ class MemLogStorage : public LogStorage {
   Result<uint64_t> RollOver() override;
   Status DropBefore(uint64_t mark) override;
   int64_t Size() const override;
+  Status TrimTail(uint64_t keep) override;
 
  private:
   mutable Mutex mu_{LockRank::kLogInternal, "wal.mem_storage"};
@@ -89,6 +95,7 @@ class FileLogStorage : public LogStorage {
   Result<uint64_t> RollOver() override;
   Status DropBefore(uint64_t mark) override;
   int64_t Size() const override;
+  Status TrimTail(uint64_t keep) override;
 
  private:
   explicit FileLogStorage(std::string path) : path_(std::move(path)) {}
@@ -154,7 +161,11 @@ class Log {
   }
 
   /// Reads every complete record from the start of the log. Stops early if
-  /// `fn` returns false. A torn tail terminates iteration cleanly.
+  /// `fn` returns false. A torn tail (a crash's partial last frame)
+  /// terminates iteration cleanly; a replay that reaches it cuts it off the
+  /// storage, so what a restarted process appends next follows the last
+  /// whole frame and a later replay reaches it. Replay a reopened log
+  /// before appending to it.
   Status Replay(const std::function<bool(const LogRecord&)>& fn);
 
   /// LogStorage::RollOver, counted and poisoning like a sync.

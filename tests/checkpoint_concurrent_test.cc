@@ -28,6 +28,7 @@
 
 #include "common/lock_order.h"
 #include "engine/database.h"
+#include "testing/test_util.h"
 
 namespace btrim {
 namespace {
@@ -35,8 +36,9 @@ namespace {
 class CheckpointConcurrentTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/btrim_ckpt_concurrent_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testing::ScratchPath(
+        std::string("btrim_ckpt_concurrent_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
 #if defined(BTRIM_LOCK_ORDER_CHECKS)

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "testing/test_util.h"
 #include "testing/torture.h"
 
 namespace btrim {
@@ -31,7 +32,7 @@ namespace {
 class ScratchDir {
  public:
   explicit ScratchDir(const std::string& tag)
-      : path_(::testing::TempDir() + "/btrim_crash_torture_" + tag) {}
+      : path_(testing::ScratchPath("btrim_crash_torture_" + tag)) {}
   ~ScratchDir() {
     if (!::testing::Test::HasFailure()) {
       std::error_code ec;

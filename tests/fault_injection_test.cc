@@ -24,6 +24,17 @@ namespace {
 
 // --- FaultPlan --------------------------------------------------------------
 
+/// Registers `plan`'s injection counters under the names Database uses.
+void RegisterPlan(const FaultPlan& plan, obs::MetricsRegistry* metrics) {
+  ASSERT_TRUE(metrics
+                  ->RegisterCounter("fault.errors_injected", {},
+                                    plan.errors_injected())
+                  .ok());
+  ASSERT_TRUE(
+      metrics->RegisterCounter("fault.torn_writes", {}, plan.torn_writes())
+          .ok());
+}
+
 TEST(FaultPlanTest, OpIndexingIsGlobalAcrossTargets) {
   FaultPlan plan(1);
   EXPECT_EQ(plan.OnOp("a", FaultOp::kWrite), FaultOutcome::kNone);
@@ -34,11 +45,13 @@ TEST(FaultPlanTest, OpIndexingIsGlobalAcrossTargets) {
 
 TEST(FaultPlanTest, FailAtOpFiresExactlyOnce) {
   FaultPlan plan(1);
+  obs::MetricsRegistry metrics;
+  RegisterPlan(plan, &metrics);
   plan.FailAtOp(1);
   EXPECT_EQ(plan.OnOp("x", FaultOp::kWrite), FaultOutcome::kNone);
   EXPECT_EQ(plan.OnOp("x", FaultOp::kWrite), FaultOutcome::kError);
   EXPECT_EQ(plan.OnOp("x", FaultOp::kWrite), FaultOutcome::kNone);
-  EXPECT_EQ(plan.GetStats().errors_injected, 1);
+  EXPECT_EQ(metrics.Sum("fault.errors_injected"), 1);
 }
 
 TEST(FaultPlanTest, CrashIsSticky) {
@@ -46,9 +59,7 @@ TEST(FaultPlanTest, CrashIsSticky) {
   plan.CrashAtOp(0);
   EXPECT_EQ(plan.OnOp("x", FaultOp::kSync), FaultOutcome::kCrash);
   EXPECT_TRUE(plan.crashed());
-  FaultPlanStats stats = plan.GetStats();
-  EXPECT_TRUE(stats.crashed);
-  EXPECT_EQ(stats.crash_op, 0u);
+  EXPECT_EQ(plan.crash_op(), 0u);
 }
 
 TEST(FaultPlanTest, FailNthFiltersByOpKindAndTarget) {
@@ -92,24 +103,35 @@ TEST(FaultPlanTest, TraceRecordsOpsAndTargets) {
 
 // --- FaultyDevice -----------------------------------------------------------
 
+// device.* labels of the decorator and of the device it wraps.
+const obs::MetricLabels kFaulty{"faulty", "", "", ""};
+const obs::MetricLabels kInner{"inner", "", "", ""};
+
+/// A FaultyDevice over a MemDevice, both registered into `metrics`.
 std::unique_ptr<FaultyDevice> MakeDevice(std::shared_ptr<FaultPlan> plan,
-                                         MemDevice** inner_out) {
+                                         MemDevice** inner_out,
+                                         obs::MetricsRegistry* metrics) {
   auto inner = std::make_unique<MemDevice>();
   *inner_out = inner.get();
-  return std::make_unique<FaultyDevice>(std::move(inner), std::move(plan),
-                                        "dev");
+  EXPECT_TRUE(inner->RegisterMetrics(metrics, kInner).ok());
+  auto dev = std::make_unique<FaultyDevice>(std::move(inner), std::move(plan),
+                                            "dev");
+  EXPECT_TRUE(dev->RegisterMetrics(metrics, kFaulty).ok());
+  return dev;
 }
 
 TEST(FaultyDeviceTest, WritesPendUntilSyncAndReadsSeeThem) {
   auto plan = std::make_shared<FaultPlan>(1);
   MemDevice* inner = nullptr;
-  auto dev = MakeDevice(plan, &inner);
+  obs::MetricsRegistry metrics;
+  auto dev = MakeDevice(plan, &inner, &metrics);
 
   std::string page(kPageSize, 'A');
   ASSERT_TRUE(dev->WritePage(0, page.data()).ok());
   EXPECT_EQ(dev->PendingPages(), 1u);
-  EXPECT_EQ(inner->GetStats().page_writes, 0);  // nothing durable yet
-  EXPECT_EQ(dev->NumPages(), 1u);               // but addressable in-process
+  // Nothing durable yet, but addressable in-process.
+  EXPECT_EQ(metrics.Sum("device.page_writes", kInner), 0);
+  EXPECT_EQ(dev->NumPages(), 1u);
 
   std::string buf(kPageSize, '\0');
   ASSERT_TRUE(dev->ReadPage(0, buf.data()).ok());
@@ -117,7 +139,7 @@ TEST(FaultyDeviceTest, WritesPendUntilSyncAndReadsSeeThem) {
 
   ASSERT_TRUE(dev->Sync().ok());
   EXPECT_EQ(dev->PendingPages(), 0u);
-  EXPECT_GT(inner->GetStats().page_writes, 0);
+  EXPECT_GT(metrics.Sum("device.page_writes", kInner), 0);
   ASSERT_TRUE(inner->ReadPage(0, buf.data()).ok());
   EXPECT_EQ(buf, page);
 }
@@ -125,7 +147,8 @@ TEST(FaultyDeviceTest, WritesPendUntilSyncAndReadsSeeThem) {
 TEST(FaultyDeviceTest, CrashDiscardsUnsyncedWrites) {
   auto plan = std::make_shared<FaultPlan>(1);
   MemDevice* inner = nullptr;
-  auto dev = MakeDevice(plan, &inner);
+  obs::MetricsRegistry metrics;
+  auto dev = MakeDevice(plan, &inner, &metrics);
 
   std::string page(kPageSize, 'A');
   ASSERT_TRUE(dev->WritePage(0, page.data()).ok());  // op 0
@@ -133,7 +156,7 @@ TEST(FaultyDeviceTest, CrashDiscardsUnsyncedWrites) {
   EXPECT_FALSE(dev->Sync().ok());  // op 1: crash mid-sync
   EXPECT_TRUE(plan->crashed());
   // The write never reached the inner device, and the decorator is dead.
-  EXPECT_EQ(inner->GetStats().page_writes, 0);
+  EXPECT_EQ(metrics.Sum("device.page_writes", kInner), 0);
   EXPECT_FALSE(dev->WritePage(0, page.data()).ok());
   EXPECT_FALSE(dev->ReadPage(0, page.data()).ok());
 }
@@ -141,28 +164,32 @@ TEST(FaultyDeviceTest, CrashDiscardsUnsyncedWrites) {
 TEST(FaultyDeviceTest, InjectedWriteErrorHasNoSideEffects) {
   auto plan = std::make_shared<FaultPlan>(1);
   MemDevice* inner = nullptr;
-  auto dev = MakeDevice(plan, &inner);
+  obs::MetricsRegistry metrics;
+  auto dev = MakeDevice(plan, &inner, &metrics);
 
   plan->FailAtOp(0);
   std::string page(kPageSize, 'A');
   EXPECT_FALSE(dev->WritePage(0, page.data()).ok());
   EXPECT_EQ(dev->PendingPages(), 0u);
   // Failed operations never count toward traffic stats.
-  EXPECT_EQ(dev->GetStats().page_writes, 0);
+  EXPECT_EQ(metrics.Sum("device.page_writes", kFaulty), 0);
 
   ASSERT_TRUE(dev->WritePage(0, page.data()).ok());  // next attempt succeeds
-  EXPECT_EQ(dev->GetStats().page_writes, 1);
+  EXPECT_EQ(metrics.Sum("device.page_writes", kFaulty), 1);
 }
 
 TEST(FaultyDeviceTest, TornWriteAppliesPartialSectorImage) {
   auto plan = std::make_shared<FaultPlan>(1);
   MemDevice* inner = nullptr;
-  auto dev = MakeDevice(plan, &inner);
+  obs::MetricsRegistry metrics;
+  auto dev = MakeDevice(plan, &inner, &metrics);
 
   plan->TornWriteAtOp(0);
   std::string page(kPageSize, 'A');
   EXPECT_FALSE(dev->WritePage(0, page.data()).ok());
-  EXPECT_EQ(plan->GetStats().torn_writes, 1);
+  obs::MetricsRegistry plan_metrics;
+  RegisterPlan(*plan, &plan_metrics);
+  EXPECT_EQ(plan_metrics.Sum("fault.torn_writes"), 1);
 
   // The pending image holds a sector-granular mix of the new bytes ('A')
   // and the base image (zeroes) — never all of one or the other.
@@ -182,17 +209,18 @@ TEST(FaultyDeviceTest, TornWriteAppliesPartialSectorImage) {
 TEST(FaultyDeviceTest, FailedSyncKeepsWritesPendingAndUncounted) {
   auto plan = std::make_shared<FaultPlan>(1);
   MemDevice* inner = nullptr;
-  auto dev = MakeDevice(plan, &inner);
+  obs::MetricsRegistry metrics;
+  auto dev = MakeDevice(plan, &inner, &metrics);
 
   std::string page(kPageSize, 'A');
   ASSERT_TRUE(dev->WritePage(0, page.data()).ok());  // op 0
   plan->FailAtOp(1);
   EXPECT_FALSE(dev->Sync().ok());  // op 1
-  EXPECT_EQ(dev->GetStats().syncs, 0);
+  EXPECT_EQ(metrics.Sum("device.syncs", kFaulty), 0);
   EXPECT_EQ(dev->PendingPages(), 1u);  // still pending, not lost
 
   ASSERT_TRUE(dev->Sync().ok());  // retry succeeds
-  EXPECT_EQ(dev->GetStats().syncs, 1);
+  EXPECT_EQ(metrics.Sum("device.syncs", kFaulty), 1);
   EXPECT_EQ(dev->PendingPages(), 0u);
   std::string buf(kPageSize, '\0');
   ASSERT_TRUE(inner->ReadPage(0, buf.data()).ok());
@@ -300,10 +328,10 @@ TEST(LogPoisoningTest, FailedSyncPoisonsAndNeverElidesLater) {
 TEST(BufferCacheFaultTest, FlushAllPropagatesWriteError) {
   auto plan = std::make_shared<FaultPlan>(1);
   MemDevice* inner = nullptr;
-  auto dev = MakeDevice(plan, &inner);
+  obs::MetricsRegistry metrics;
+  auto dev = MakeDevice(plan, &inner, &metrics);
   BufferCache cache(4);
   cache.AttachDevice(0, dev.get());
-  obs::MetricsRegistry metrics;
   ASSERT_TRUE(cache.RegisterMetrics(&metrics, "page").ok());
 
   {
@@ -329,10 +357,10 @@ TEST(BufferCacheFaultTest, FlushAllPropagatesWriteError) {
 TEST(BufferCacheFaultTest, EvictionWriteBackFailureSurfacesAndPreservesData) {
   auto plan = std::make_shared<FaultPlan>(1);
   MemDevice* inner = nullptr;
-  auto dev = MakeDevice(plan, &inner);
+  obs::MetricsRegistry metrics;
+  auto dev = MakeDevice(plan, &inner, &metrics);
   BufferCache cache(1);  // one frame: any second page forces eviction
   cache.AttachDevice(0, dev.get());
-  obs::MetricsRegistry metrics;
   ASSERT_TRUE(cache.RegisterMetrics(&metrics, "page").ok());
 
   {
@@ -405,7 +433,7 @@ TEST(CommitFaultTest, FailedGroupAppendRollsBackBeforeLocksGo) {
   Status s = db->Commit(txn.get());
   EXPECT_TRUE(s.IsIOError()) << s.ToString();
   EXPECT_EQ(txn->state(), TxnState::kAborted);
-  EXPECT_EQ(plan->GetStats().errors_injected, 1);
+  EXPECT_EQ(db->metrics_registry()->Sum("fault.errors_injected"), 1);
 
   auto next = db->Begin();
   const Rid rid = Rid::Decode(*table->primary_index()->Search(key(1)));

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics_registry.h"
+#include "testing/test_util.h"
 #include "wal/group_commit.h"
 #include "wal/log.h"
 #include "wal/log_record.h"
@@ -48,7 +49,7 @@ void Register(obs::MetricsRegistry* metrics, const Log& log,
 }
 
 TEST(GroupCommitterTest, SyncPerCommitSyncsEveryGroup) {
-  const std::string path = ::testing::TempDir() + "/gc_spc.log";
+  const std::string path = testing::ScratchPath("gc_spc.log");
   std::unique_ptr<Log> log = OpenFileLog(path);
   DurabilityOptions opts;
   opts.policy = DurabilityPolicy::kSyncPerCommit;
@@ -90,7 +91,7 @@ TEST(GroupCommitterTest, NoSyncAppendsWithoutSyncing) {
 }
 
 TEST(GroupCommitterTest, LoneCommitterIsDurableAfterOneSync) {
-  const std::string path = ::testing::TempDir() + "/gc_lone.log";
+  const std::string path = testing::ScratchPath("gc_lone.log");
   std::unique_ptr<Log> log = OpenFileLog(path);
   DurabilityOptions opts;
   opts.policy = DurabilityPolicy::kGroupCommit;
@@ -113,7 +114,7 @@ TEST(GroupCommitterTest, LoneCommitterIsDurableAfterOneSync) {
 // which they arrive, so the batch must fill to all participants before any
 // sync is issued.
 TEST(GroupCommitterTest, ConcurrentCommittersShareOneSync) {
-  const std::string path = ::testing::TempDir() + "/gc_batch.log";
+  const std::string path = testing::ScratchPath("gc_batch.log");
   std::unique_ptr<Log> log = OpenFileLog(path);
   constexpr int kCommitters = 8;
   DurabilityOptions opts;
@@ -188,6 +189,7 @@ class FailingSyncStorage : public LogStorage {
   }
   Status DropBefore(uint64_t mark) override { return mem_.DropBefore(mark); }
   int64_t Size() const override { return mem_.Size(); }
+  Status TrimTail(uint64_t keep) override { return mem_.TrimTail(keep); }
 
  private:
   MemLogStorage mem_;

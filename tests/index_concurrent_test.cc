@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "collect_scan.h"
 #include "common/coding.h"
 #include "common/lock_order.h"
 #include "common/random.h"
@@ -21,6 +22,9 @@
 
 namespace btrim {
 namespace {
+
+using testing::CollectScan;
+using testing::IndexEntries;
 
 std::string IntKey(uint64_t v) {
   std::string k;
@@ -71,8 +75,8 @@ TEST_F(BTreeConcurrentTest, ParallelWritersDisjointRanges) {
     ASSERT_TRUE(v.ok()) << "key " << k;
     ASSERT_EQ(*v, k);
   }
-  std::vector<std::pair<std::string, uint64_t>> all;
-  ASSERT_TRUE(tree_.Scan(IntKey(0), Slice(), 0, &all).ok());
+  IndexEntries all;
+  ASSERT_TRUE(CollectScan(tree_, IntKey(0), Slice(), &all).ok());
   ASSERT_EQ(all.size(), kWriters * kPerWriter);
   for (size_t i = 1; i < all.size(); ++i) {
     ASSERT_LT(all[i - 1].first, all[i].first) << "scan out of order at " << i;
@@ -118,8 +122,9 @@ TEST_F(BTreeConcurrentTest, ReadersVsSplittingWriters) {
         }
         // Bounded scan: sorted, unique, values consistent.
         const uint64_t lo = rng.Next() % (kPerWriter * kWriters);
-        std::vector<std::pair<std::string, uint64_t>> out;
-        ASSERT_TRUE(tree_.Scan(IntKey(lo), IntKey(lo + 512), 0, &out).ok());
+        IndexEntries out;
+        ASSERT_TRUE(
+            CollectScan(tree_, IntKey(lo), IntKey(lo + 512), &out).ok());
         for (size_t i = 0; i < out.size(); ++i) {
           if (i > 0) ASSERT_LT(out[i - 1].first, out[i].first);
           ASSERT_EQ(out[i].second, GetBigEndian64(out[i].first.data()) * 7);
@@ -131,8 +136,8 @@ TEST_F(BTreeConcurrentTest, ReadersVsSplittingWriters) {
   stop.store(true, std::memory_order_release);
   for (int r = 0; r < kReaders; ++r) threads[kWriters + r].join();
 
-  std::vector<std::pair<std::string, uint64_t>> all;
-  ASSERT_TRUE(tree_.Scan(IntKey(0), Slice(), 0, &all).ok());
+  IndexEntries all;
+  ASSERT_TRUE(CollectScan(tree_, IntKey(0), Slice(), &all).ok());
   EXPECT_EQ(all.size(), kWriters * kPerWriter);
 }
 
@@ -188,8 +193,8 @@ TEST_F(BTreeConcurrentTest, MixedInsertDeleteSearchTorture) {
   for (const auto& shadow : shadows) {
     for (const auto& [k, v] : shadow) expected[IntKey(k)] = v;
   }
-  std::vector<std::pair<std::string, uint64_t>> all;
-  ASSERT_TRUE(tree_.Scan(IntKey(0), Slice(), 0, &all).ok());
+  IndexEntries all;
+  ASSERT_TRUE(CollectScan(tree_, IntKey(0), Slice(), &all).ok());
   ASSERT_EQ(all.size(), expected.size());
   size_t i = 0;
   for (const auto& [k, v] : expected) {
@@ -258,8 +263,9 @@ TEST_F(BTreeConcurrentTest, ConcurrentDeletersAndScanners) {
       Random rng(7u + static_cast<uint32_t>(r));
       while (!stop.load(std::memory_order_acquire)) {
         const uint64_t lo = rng.Next() % kKeys;
-        std::vector<std::pair<std::string, uint64_t>> out;
-        ASSERT_TRUE(tree_.Scan(IntKey(lo), IntKey(lo + 2048), 0, &out).ok());
+        IndexEntries out;
+        ASSERT_TRUE(
+            CollectScan(tree_, IntKey(lo), IntKey(lo + 2048), &out).ok());
         for (size_t i = 1; i < out.size(); ++i) {
           ASSERT_LT(out[i - 1].first, out[i].first);
         }
@@ -270,20 +276,20 @@ TEST_F(BTreeConcurrentTest, ConcurrentDeletersAndScanners) {
   stop.store(true, std::memory_order_release);
   for (int r = 0; r < 3; ++r) threads[3 + r].join();
 
-  std::vector<std::pair<std::string, uint64_t>> rest;
-  ASSERT_TRUE(tree_.Scan(IntKey(0), Slice(), 0, &rest).ok());
+  IndexEntries rest;
+  ASSERT_TRUE(CollectScan(tree_, IntKey(0), Slice(), &rest).ok());
   EXPECT_TRUE(rest.empty());
   EXPECT_GT(metrics_.Sum("index.pages_retired"), 0);
 }
 
 TEST_F(BTreeConcurrentTest, ScanReservesWithoutQuadraticGrowth) {
-  // The leaf-count-driven reserve must respect capacity doubling: total
-  // capacity growth events stay logarithmic in result size.
+  // A scan across thousands of leaves visits every entry once, in order,
+  // and a collector growing by doubling stays within 4x of its size.
   for (uint64_t k = 0; k < 50000; ++k) {
     ASSERT_TRUE(tree_.Insert(IntKey(k), k).ok());
   }
-  std::vector<std::pair<std::string, uint64_t>> out;
-  ASSERT_TRUE(tree_.Scan(IntKey(0), Slice(), 0, &out).ok());
+  IndexEntries out;
+  ASSERT_TRUE(CollectScan(tree_, IntKey(0), Slice(), &out).ok());
   ASSERT_EQ(out.size(), 50000u);
   EXPECT_LE(out.capacity(), out.size() * 4);
   for (size_t i = 1; i < out.size(); ++i) {

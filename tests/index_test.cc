@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "collect_scan.h"
 #include "common/coding.h"
 #include "common/random.h"
 #include "index/btree.h"
@@ -16,6 +17,10 @@
 
 namespace btrim {
 namespace {
+
+using testing::CollectPrefix;
+using testing::CollectScan;
+using testing::IndexEntries;
 
 std::string IntKey(uint64_t v) {
   std::string k;
@@ -87,8 +92,8 @@ TEST_F(BTreeTest, ScanReturnsSortedRange) {
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(tree_.Insert(IntKey(static_cast<uint64_t>(i)), i).ok());
   }
-  std::vector<std::pair<std::string, uint64_t>> out;
-  ASSERT_TRUE(tree_.Scan(IntKey(100), IntKey(200), 0, &out).ok());
+  IndexEntries out;
+  ASSERT_TRUE(CollectScan(tree_, IntKey(100), IntKey(200), &out).ok());
   ASSERT_EQ(out.size(), 100u);
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].second, 100 + i);
@@ -102,11 +107,11 @@ TEST_F(BTreeTest, ScanWithLimitAndOpenEnd) {
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(tree_.Insert(IntKey(static_cast<uint64_t>(i)), i).ok());
   }
-  std::vector<std::pair<std::string, uint64_t>> out;
-  ASSERT_TRUE(tree_.Scan(IntKey(490), Slice(), 0, &out).ok());
+  IndexEntries out;
+  ASSERT_TRUE(CollectScan(tree_, IntKey(490), Slice(), &out).ok());
   EXPECT_EQ(out.size(), 10u);
   out.clear();
-  ASSERT_TRUE(tree_.Scan(IntKey(0), Slice(), 7, &out).ok());
+  ASSERT_TRUE(CollectScan(tree_, IntKey(0), Slice(), &out, 7).ok());
   EXPECT_EQ(out.size(), 7u);
 }
 
@@ -115,15 +120,33 @@ TEST_F(BTreeTest, ScanPrefix) {
   ASSERT_TRUE(tree_.Insert("user:2", 2).ok());
   ASSERT_TRUE(tree_.Insert("user:3", 3).ok());
   ASSERT_TRUE(tree_.Insert("uzer:9", 9).ok());
-  std::vector<std::pair<std::string, uint64_t>> out;
-  ASSERT_TRUE(tree_.ScanPrefix("user:", 0, &out).ok());
+  IndexEntries out;
+  ASSERT_TRUE(CollectPrefix(tree_, "user:", &out).ok());
   EXPECT_EQ(out.size(), 3u);
+}
+
+TEST_F(BTreeTest, VisitorRunsWithoutLatchAndMayWriteTheTree) {
+  // The visitor holds no frame latch: it may insert into the very leaf the
+  // scan is reading (an exclusive latch) and stop the scan early.
+  for (uint64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(tree_.Insert(IntKey(i), i).ok());
+  }
+  std::vector<uint64_t> seen;
+  ASSERT_TRUE(tree_.Scan(IntKey(0), IntKey(10), [&](Slice, uint64_t v) {
+                     seen.push_back(v);
+                     EXPECT_TRUE(tree_.Insert(IntKey(100 + v), v).ok());
+                     return v < 4;
+                   }).ok());
+  EXPECT_EQ(seen, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+  for (uint64_t v = 0; v <= 4; ++v) {
+    EXPECT_EQ(*tree_.Search(IntKey(100 + v)), v);
+  }
 }
 
 TEST_F(BTreeTest, EmptyTreeBehaviour) {
   EXPECT_TRUE(tree_.Search("x").status().IsNotFound());
-  std::vector<std::pair<std::string, uint64_t>> out;
-  ASSERT_TRUE(tree_.Scan(Slice(), Slice(), 0, &out).ok());
+  IndexEntries out;
+  ASSERT_TRUE(CollectScan(tree_, Slice(), Slice(), &out).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -137,8 +160,8 @@ TEST_F(BTreeTest, VariableLengthKeysKeepMemcmpOrder) {
   ASSERT_TRUE(tree_.Insert("aa", 2).ok());
   ASSERT_TRUE(tree_.Insert("b", 3).ok());
   ASSERT_TRUE(tree_.Insert("ab", 4).ok());
-  std::vector<std::pair<std::string, uint64_t>> out;
-  ASSERT_TRUE(tree_.Scan(Slice(), Slice(), 0, &out).ok());
+  IndexEntries out;
+  ASSERT_TRUE(CollectScan(tree_, Slice(), Slice(), &out).ok());
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0].first, "a");
   EXPECT_EQ(out[1].first, "aa");
@@ -154,8 +177,8 @@ TEST_F(BTreeTest, MakeNonUniqueKeyDisambiguates) {
   const Rid r1{1, 10, 1}, r2{1, 10, 2};
   ASSERT_TRUE(multi.Insert(BTree::MakeNonUniqueKey("dup", r1), r1.Encode()).ok());
   ASSERT_TRUE(multi.Insert(BTree::MakeNonUniqueKey("dup", r2), r2.Encode()).ok());
-  std::vector<std::pair<std::string, uint64_t>> out;
-  ASSERT_TRUE(multi.ScanPrefix("dup", 0, &out).ok());
+  IndexEntries out;
+  ASSERT_TRUE(CollectPrefix(multi, "dup", &out).ok());
   EXPECT_EQ(out.size(), 2u);
 }
 
@@ -185,8 +208,8 @@ TEST_F(BTreeTest, RandomizedMirrorsReferenceMap) {
       }
     }
   }
-  std::vector<std::pair<std::string, uint64_t>> out;
-  ASSERT_TRUE(tree_.Scan(Slice(), Slice(), 0, &out).ok());
+  IndexEntries out;
+  ASSERT_TRUE(CollectScan(tree_, Slice(), Slice(), &out).ok());
   ASSERT_EQ(out.size(), reference.size());
   auto it = reference.begin();
   for (size_t i = 0; i < out.size(); ++i, ++it) {
@@ -261,8 +284,8 @@ TEST_P(BTreeOrderSweep, InsertionOrderInvariance) {
   for (uint64_t k : keys) {
     ASSERT_TRUE(tree.Insert(IntKey(k), k).ok());
   }
-  std::vector<std::pair<std::string, uint64_t>> out;
-  ASSERT_TRUE(tree.Scan(Slice(), Slice(), 0, &out).ok());
+  IndexEntries out;
+  ASSERT_TRUE(CollectScan(tree, Slice(), Slice(), &out).ok());
   ASSERT_EQ(out.size(), static_cast<size_t>(kKeys));
   for (int i = 0; i < kKeys; ++i) {
     EXPECT_EQ(out[static_cast<size_t>(i)].second, static_cast<uint64_t>(i));
@@ -297,15 +320,17 @@ TEST(HashIndexTest, UpsertOverwrites) {
 
 TEST(HashIndexTest, ContainsAndStats) {
   HashIndex<int> index(64);
+  obs::MetricsRegistry metrics;
+  ASSERT_TRUE(index.RegisterMetrics(&metrics, {}).ok());
   index.Upsert("a", 1);
   EXPECT_TRUE(index.Contains("a"));
   EXPECT_FALSE(index.Contains("b"));
   (void)index.Lookup("a");
   (void)index.Lookup("b");
-  HashIndexStats s = index.GetStats();
-  EXPECT_EQ(s.inserts, 1);
-  EXPECT_EQ(s.lookups, 2);
-  EXPECT_EQ(s.hits, 1);
+  EXPECT_EQ(metrics.Sum("hash_index.inserts"), 1);
+  EXPECT_EQ(metrics.Sum("hash_index.lookups"), 2);
+  EXPECT_EQ(metrics.Sum("hash_index.hits"), 1);
+  EXPECT_EQ(metrics.Sum("hash_index.entries"), 1);
 }
 
 TEST(HashIndexTest, ManyKeysAcrossBuckets) {

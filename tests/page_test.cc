@@ -15,6 +15,7 @@
 #include "page/device.h"
 #include "page/heap_file.h"
 #include "page/slotted_page.h"
+#include "testing/test_util.h"
 
 namespace btrim {
 namespace {
@@ -201,13 +202,14 @@ TEST(MemDeviceTest, WriteReadRoundTrip) {
   EXPECT_EQ(dev.NumPages(), 6u);
   ASSERT_TRUE(dev.ReadPage(5, in).ok());
   EXPECT_EQ(memcmp(out, in, kPageSize), 0);
-  DeviceStats s = dev.GetStats();
-  EXPECT_EQ(s.page_writes, 1);
-  EXPECT_EQ(s.page_reads, 1);
+  obs::MetricsRegistry metrics;
+  ASSERT_TRUE(dev.RegisterMetrics(&metrics, {}).ok());
+  EXPECT_EQ(metrics.Sum("device.page_writes"), 1);
+  EXPECT_EQ(metrics.Sum("device.page_reads"), 1);
 }
 
 TEST(FileDeviceTest, PersistsAcrossReopen) {
-  const std::string path = ::testing::TempDir() + "/btrim_filedev_test.dat";
+  const std::string path = testing::ScratchPath("btrim_filedev_test.dat");
   std::filesystem::remove(path);
   char out[kPageSize];
   memset(out, 0x5A, kPageSize);

@@ -30,6 +30,7 @@
 #include "ilm/ilm_queue.h"
 #include "imrs/rid_map.h"
 #include "obs/metrics_registry.h"
+#include "testing/test_util.h"
 #include "tpcc/driver.h"
 #include "tpcc/loader.h"
 #include "txn/lock_manager.h"
@@ -346,7 +347,7 @@ TEST_F(EngineStressTest, ConcurrentCrudWithBackgroundThreads) {
 TEST(GroupCommitStressTest, EightWorkerCommitAbortHammer) {
   constexpr int kWorkers = 8;
   const std::string dir =
-      ::testing::TempDir() + "/btrim_stress_group_commit";
+      testing::ScratchPath("btrim_stress_group_commit");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -283,6 +284,54 @@ TEST_F(TpccTest, DeliverySetsCarrierOnOldestOrder) {
   ASSERT_TRUE(db_->Commit(txn.get()).ok());
 }
 
+TEST_F(TpccTest, DeliveryDeliversOldestOrderOfEveryDistrict) {
+  // No background threads run, so nothing purges the IMRS tombstones that
+  // deliveries of NewOrder-inserted rows leave in new_orders. Every
+  // delivery must still take the oldest undelivered order of each district
+  // with one pending. The first rounds drain the loaded (page-store) rows;
+  // the later ones reach the IMRS rows behind them.
+  Open();
+  TpccRandom rnd(18);
+  for (int i = 0; i < 60; ++i) RunNewOrder(&ctx_, &rnd, 1);
+
+  // District -> its pending o_ids, oldest first.
+  auto pending = [&] {
+    std::map<int, std::vector<int>> by_district;
+    auto txn = db_->Begin();
+    EXPECT_TRUE(db_->ScanIndex(txn.get(), tables_.new_orders, -1, Slice(),
+                               Slice(), 0,
+                               [&](const ScanRow& r) {
+                                 RecordView v(&tables_.new_orders->schema(),
+                                              Slice(r.payload));
+                                 by_district[static_cast<int>(
+                                                 v.GetInt(no::kDId))]
+                                     .push_back(static_cast<int>(
+                                         v.GetInt(no::kOId)));
+                                 return true;
+                               })
+                    .ok());
+    EXPECT_TRUE(db_->Commit(txn.get()).ok());
+    return by_district;
+  };
+
+  const int loaded = scale_.orders_per_district / 3;
+  for (int round = 0; round < loaded + 3; ++round) {
+    const std::map<int, std::vector<int>> before = pending();
+    ASSERT_EQ(before.size(),
+              static_cast<size_t>(scale_.districts_per_warehouse))
+        << "round " << round << ": every district keeps pending orders";
+    TxnResult r = RunDelivery(&ctx_, &rnd, 1);
+    ASSERT_TRUE(r.committed) << r.status.ToString();
+    const std::map<int, std::vector<int>> after = pending();
+    for (const auto& [d_id, o_ids] : before) {
+      const std::vector<int> rest(o_ids.begin() + 1, o_ids.end());
+      const auto it = after.find(d_id);
+      EXPECT_EQ(it == after.end() ? std::vector<int>{} : it->second, rest)
+          << "round " << round << ", district " << d_id;
+    }
+  }
+}
+
 TEST_F(TpccTest, StockLevelIsReadOnly) {
   Open();
   TpccRandom rnd(17);
@@ -504,9 +553,9 @@ TEST_F(TpccTest, WarmTransactionsStayUnderAllocationCeilings) {
   const TxnType types[] = {
       {"NewOrder", RunNewOrder, 300},
       {"Payment", RunPayment, 55},
-      {"OrderStatus", RunOrderStatus, 0},
+      {"OrderStatus", RunOrderStatus, 104},
       {"Delivery", RunDelivery, 0},
-      {"StockLevel", RunStockLevel, 0},
+      {"StockLevel", RunStockLevel, 450},
   };
   constexpr int kWarmup = 300;
   constexpr int kMeasured = 2000;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "obs/metrics_registry.h"
 #include "page/page.h"
 #include "testing/alloc_counter.h"
+#include "testing/test_util.h"
 #include "wal/log.h"
 #include "wal/log_record.h"
 
@@ -341,7 +343,7 @@ TEST(MemLogStorageTest, ChunkedLogReplaysIdentically) {
 }
 
 TEST(FileLogStorageTest, PersistsAcrossReopen) {
-  const std::string path = ::testing::TempDir() + "/btrim_wal_test.log";
+  const std::string path = testing::ScratchPath("btrim_wal_test.log");
   std::filesystem::remove(path);
   {
     Result<std::unique_ptr<FileLogStorage>> storage =
@@ -376,7 +378,7 @@ std::vector<std::string> FileNames(const std::string& dir) {
 // numbered .wal file that a reopen finds again, in order; a drop unlinks
 // the archives below its mark and nothing else.
 TEST(FileLogStorageTest, RollOverArchivesAndDropUnlinks) {
-  const std::string dir = ::testing::TempDir() + "/btrim_wal_rollover";
+  const std::string dir = testing::ScratchPath("btrim_wal_rollover");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/syslogs.wal";
@@ -497,7 +499,7 @@ TEST(LogTest, DropBeforeTheRollOverEmptiesReplay) {
 }
 
 TEST(LogTest, CommitSyncsTheStorage) {
-  const std::string path = ::testing::TempDir() + "/btrim_wal_sync_test.log";
+  const std::string path = testing::ScratchPath("btrim_wal_sync_test.log");
   std::filesystem::remove(path);
   auto storage = FileLogStorage::Open(path);
   ASSERT_TRUE(storage.ok());
@@ -511,7 +513,7 @@ TEST(LogTest, CommitSyncsTheStorage) {
 // A rollover syncs everything appended before it, so a Commit right after
 // it has nothing left to make durable.
 TEST(LogTest, RollOverCoversEarlierAppends) {
-  const std::string dir = ::testing::TempDir() + "/btrim_wal_rollover_sync";
+  const std::string dir = testing::ScratchPath("btrim_wal_rollover_sync");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   {
@@ -529,7 +531,7 @@ TEST(LogTest, RollOverCoversEarlierAppends) {
 }
 
 TEST(LogTest, RedundantCommitsElideTheSync) {
-  const std::string path = ::testing::TempDir() + "/btrim_wal_elide_test.log";
+  const std::string path = testing::ScratchPath("btrim_wal_elide_test.log");
   std::filesystem::remove(path);
   auto storage = FileLogStorage::Open(path);
   ASSERT_TRUE(storage.ok());
@@ -580,6 +582,7 @@ TEST(LogTest, ReplayIgnoresTornTail) {
   MemLogStorage* raw = storage.get();
   Log log(std::move(storage));
   ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsInsert, 1)).ok());
+  const int64_t whole = log.SizeBytes();
   // A partial record at the tail (e.g. crash mid-write).
   ASSERT_TRUE(raw->Append(std::string(7, '\x01')).ok());
   int count = 0;
@@ -589,6 +592,78 @@ TEST(LogTest, ReplayIgnoresTornTail) {
                  })
                   .ok());
   EXPECT_EQ(count, 1);
+  // The replay cut the torn bytes off, so a later append replays too.
+  EXPECT_EQ(log.SizeBytes(), whole);
+  ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsInsert, 2)).ok());
+  std::vector<uint64_t> seen;
+  ASSERT_TRUE(log.Replay([&](const LogRecord& rec) {
+                   seen.push_back(rec.txn_id);
+                   return true;
+                 })
+                  .ok());
+  EXPECT_EQ(seen, (std::vector<uint64_t>{1, 2}));
+}
+
+// Reopen over a torn active segment: the replay cuts the torn bytes off the
+// file, so a record appended by the reopened log is found by the next one.
+TEST(FileLogStorageTest, ReplayCutsTornTailBeforeTheNextAppend) {
+  const std::string path = testing::ScratchPath("btrim_wal_torn.log");
+  std::filesystem::remove(path);
+  auto open_log = [&] {
+    Result<std::unique_ptr<FileLogStorage>> storage =
+        FileLogStorage::Open(path);
+    EXPECT_TRUE(storage.ok());
+    return std::make_unique<Log>(std::move(*storage));
+  };
+  auto replay = [](Log* log) {
+    std::vector<uint64_t> seen;
+    EXPECT_TRUE(log->Replay([&](const LogRecord& rec) {
+                     seen.push_back(rec.txn_id);
+                     return true;
+                   })
+                    .ok());
+    return seen;
+  };
+  {
+    std::unique_ptr<Log> log = open_log();
+    ASSERT_TRUE(
+        log->AppendRecord(SampleRecord(LogRecordType::kPsInsert, 1)).ok());
+    ASSERT_TRUE(log->SyncStorage().ok());
+  }
+  const uintmax_t whole = std::filesystem::file_size(path);
+  std::ofstream(path, std::ios::binary | std::ios::app) << "torn";
+  {
+    std::unique_ptr<Log> log = open_log();
+    EXPECT_EQ(replay(log.get()), std::vector<uint64_t>{1});
+    EXPECT_EQ(std::filesystem::file_size(path), whole);
+    ASSERT_TRUE(
+        log->AppendRecord(SampleRecord(LogRecordType::kPsInsert, 2)).ok());
+    ASSERT_TRUE(log->SyncStorage().ok());
+  }
+  std::unique_ptr<Log> log = open_log();
+  EXPECT_EQ(replay(log.get()), (std::vector<uint64_t>{1, 2}));
+  log.reset();
+  std::filesystem::remove(path);
+}
+
+// RollOver syncs a segment before archiving it, so a bad frame inside an
+// archive is damage, not a crash's torn tail.
+TEST(FileLogStorageTest, BadFrameInsideAnArchiveIsCorruption) {
+  const std::string dir = testing::ScratchPath("btrim_wal_bad_archive");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  Result<std::unique_ptr<FileLogStorage>> storage =
+      FileLogStorage::Open(dir + "/syslogs.wal");
+  ASSERT_TRUE(storage.ok());
+  FileLogStorage* raw = storage->get();
+  Log log(std::move(*storage));
+  ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsInsert, 1)).ok());
+  ASSERT_TRUE(raw->Append("garbage").ok());
+  ASSERT_TRUE(log.RollOver().ok());
+  ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsInsert, 2)).ok());
+  EXPECT_TRUE(
+      log.Replay([](const LogRecord&) { return true; }).IsCorruption());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """BTrimDB custom lint: project-specific rules clang-tidy cannot express.
 
-Rules (each scans src/ only; tests and benches may take shortcuts):
+Rules (each scans src/ only, except shared-temp-dir; tests and benches may
+take shortcuts):
 
   raw-new-delete     Raw `new` / `delete` outside the allowlist. Owning
                      allocations must go through std::make_unique or the
@@ -38,6 +39,14 @@ Rules (each scans src/ only; tests and benches may take shortcuts):
                      outside common/mutex.h. All mutexes in src/ must be the
                      annotated btrim::Mutex so thread-safety analysis and the
                      lock-order validator cover them.
+
+  shared-temp-dir    A call of gtest's TempDir() outside
+                     src/testing/test_util.h, in src/, tests/, bench/,
+                     examples/ or tools/. Scratch paths come from
+                     testing::ScratchPath, which puts the process id in the
+                     name: a fixed name under the shared temp directory
+                     lets the suites of two build trees delete each other's
+                     files when they run at once.
 
 Exit status: 0 when clean, 1 when any finding is reported.
 """
@@ -228,11 +237,37 @@ def check_nodiscard(findings: list) -> None:
              "ignoring any Status/Result return a compiler warning"))
 
 
+TEMP_DIR_RE = re.compile(r"\btesting::TempDir\s*\(")
+TEMP_DIR_HOME = "src/testing/test_util.h"
+
+
+def check_temp_dirs(findings: list) -> None:
+    for top in ("src", "tests", "bench", "examples", "tools"):
+        for path in sorted((REPO / top).rglob("*")):
+            if path.suffix not in (".cc", ".cpp", ".h"):
+                continue
+            rel = path.relative_to(REPO).as_posix()
+            if rel == TEMP_DIR_HOME:
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for lineno, raw_line in enumerate(text.splitlines(), start=1):
+                if COMMENT_RE.match(raw_line):
+                    continue
+                line = strip_trailing_comment(strip_strings(raw_line))
+                if TEMP_DIR_RE.search(line):
+                    findings.append(
+                        (rel, lineno, "shared-temp-dir",
+                         "fixed path under the shared temp directory; use "
+                         "testing::ScratchPath (" + TEMP_DIR_HOME + "): "
+                         + raw_line.strip()))
+
+
 def main() -> int:
     findings = []
     for path in sorted(SRC.rglob("*.cc")) + sorted(SRC.rglob("*.h")):
         lint_file(path, findings)
     check_nodiscard(findings)
+    check_temp_dirs(findings)
 
     for rel, lineno, rule, msg in findings:
         print(f"{rel}:{lineno}: [{rule}] {msg}")
