@@ -315,16 +315,12 @@ Status ColdStore::Load() {
   if (storage_ == nullptr) return Status::OK();
   std::string all;
   BTRIM_RETURN_IF_ERROR(storage_->ReadAll(&all));
-  size_t off = 0;
-  bool torn = false;
+  size_t off = 0;  // end of the last intact frame
   while (all.size() - off >= kFrameHeaderBytes) {
     const uint32_t magic = DecodeFixed32(all.data() + off);
     const uint32_t len = DecodeFixed32(all.data() + off + 4);
     if (magic == kColdEraseMagic) {
-      if (len > all.size() - off - kFrameHeaderBytes || len % 8 != 0) {
-        torn = true;
-        break;
-      }
+      if (len > all.size() - off - kFrameHeaderBytes || len % 8 != 0) break;
       const char* p = all.data() + off + kFrameHeaderBytes;
       for (uint32_t i = 0; i < len; i += 8) {
         const uint64_t rid_enc = DecodeFixed64(p + i);
@@ -337,8 +333,7 @@ Status ColdStore::Load() {
     }
     if (magic != kColdFrameMagic ||
         len > all.size() - off - kFrameHeaderBytes || len < kMinBlobBytes) {
-      torn = true;
-      break;
+      break;  // a torn or damaged frame: see below
     }
     std::string blob = all.substr(off + kFrameHeaderBytes, len);
     const size_t frame_end = off + kFrameHeaderBytes + len;
@@ -356,9 +351,8 @@ Status ColdStore::Load() {
     Result<std::shared_ptr<ColdSegment>> seg =
         ColdSegment::Parse(std::move(blob), schema);
     if (!seg.ok()) {
-      // Checksum/bounds failure: a torn flush. Frame alignment past it is
-      // untrusted, so the rest of the file is dropped too.
-      torn = true;
+      // Checksum/bounds failure: a torn flush, or damage if more bytes
+      // follow it. Frame alignment past it is untrusted either way.
       break;
     }
     off = frame_end;
@@ -382,11 +376,16 @@ Status ColdStore::Load() {
     }
     loaded_segments_.Inc();
   }
-  if (torn || off < all.size()) {
+  if (off < all.size()) {
     torn_segments_dropped_.Inc();
-    // Cut the dropped bytes off, so frames appended from now on follow the
-    // last intact one, where the next Load reaches them.
-    return storage_->TrimTail(off);
+    // Cut a torn tail off, so frames appended from now on follow the last
+    // intact one, where the next Load reaches them. A bad frame with more
+    // bytes after it is damage: TrimTail reports Corruption.
+    const uint64_t declared =
+        all.size() - off < kFrameHeaderBytes
+            ? kFrameHeaderBytes
+            : kFrameHeaderBytes + DecodeFixed32(all.data() + off + 4);
+    return storage_->TrimTail(off, off + declared);
   }
   return Status::OK();
 }

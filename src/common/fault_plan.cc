@@ -65,7 +65,6 @@ FaultOutcome FaultPlan::OnOp(const std::string& target, FaultOp op) {
   if (std::find(crash_ops_.begin(), crash_ops_.end(), index) !=
       crash_ops_.end()) {
     crashed_.store(true, std::memory_order_release);
-    crash_op_ = index;
     return FaultOutcome::kCrash;
   }
   if (std::find(torn_ops_.begin(), torn_ops_.end(), index) !=
@@ -106,11 +105,6 @@ uint64_t FaultPlan::DrawUniform(uint64_t n) {
 uint64_t FaultPlan::ops_seen() const {
   MutexGuard guard(mu_);
   return next_op_;
-}
-
-uint64_t FaultPlan::crash_op() const {
-  MutexGuard guard(mu_);
-  return crash_op_;
 }
 
 std::vector<TraceEntry> FaultPlan::Trace() const {

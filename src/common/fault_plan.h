@@ -108,8 +108,6 @@ class FaultPlan {
   uint64_t DrawUniform(uint64_t n);
 
   uint64_t ops_seen() const;
-  /// Global index of the operation that crashed; meaningful once crashed().
-  uint64_t crash_op() const;
   /// What the plan did to the run, for the metrics registry
   /// (`fault.errors_injected`, `fault.torn_writes`).
   const ShardedCounter* errors_injected() const { return &errors_injected_; }
@@ -139,7 +137,6 @@ class FaultPlan {
   std::vector<TraceEntry> trace_ BTRIM_GUARDED_BY(mu_);
 
   std::atomic<bool> crashed_{false};
-  uint64_t crash_op_ BTRIM_GUARDED_BY(mu_) = 0;
   ShardedCounter errors_injected_, torn_writes_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "common/coding.h"
@@ -677,7 +678,10 @@ Status BTree::DeletePessimistic(Slice key) {
 Status BTree::Scan(Slice lower, Slice upper,
                    const ScanVisitor& visitor) const {
   scans_.Inc();
-  IndexEpochGuard epoch;
+  // Pinned while pages are fixed and copied, not while the visitor runs: a
+  // sibling hop revalidates the captured page number by its version, which
+  // an unlink or a reuse bumps, so a long visitor holds back no reclamation.
+  std::optional<IndexEpochGuard> epoch(std::in_place);
   // Resume cursor: the last visited key (exclusive) or the scan's lower
   // bound (inclusive). A failed sibling-hop validation re-descends to the
   // cursor, so restarts never visit an entry twice.
@@ -714,6 +718,7 @@ Status BTree::Scan(Slice lower, Slice upper,
       const uint64_t next_version =
           next == kInvalidPage ? 0 : LoadVersion(next);
       cur.Release();
+      epoch.reset();
       size_t begin = 0;
       for (const auto& [end, value] : entries) {
         const Slice k(keys.data() + begin, end - begin);
@@ -723,6 +728,7 @@ Status BTree::Scan(Slice lower, Slice upper,
         begin = end;
       }
       if (next == kInvalidPage) return Status::OK();
+      epoch.emplace();
       Result<PageGuard> next_guard =
           cache_->FixPage(PageId{file_id_, next}, LatchMode::kShared);
       if (!next_guard.ok()) return next_guard.status();

@@ -95,8 +95,9 @@ class BTree {
 
   /// Hands every entry with lower <= key < upper (empty upper: to the end)
   /// to `visitor` in key order, `key` valid only during the call. Each
-  /// leaf's entries are copied out and its latch released before the
-  /// visitor runs, so the visitor may block or call back into the tree.
+  /// leaf's entries are copied out and its latch and read epoch released
+  /// before the visitor runs, so the visitor may block or call back into
+  /// the tree without holding back the reclamation of retired pages.
   Status Scan(Slice lower, Slice upper, const ScanVisitor& visitor) const;
 
   /// Key for a non-unique index entry: user key + big-endian encoded RID.

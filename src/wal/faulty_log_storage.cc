@@ -70,6 +70,12 @@ Status FaultyLogStorage::PushTailLocked(FaultOp op) {
     case FaultOutcome::kCrash:
       // Crash mid-fsync: part of the tail may have reached the device.
       FlushTornTailLocked();
+      // A rollover renames before it syncs, so the rename may be durable
+      // and the torn bytes end the newest archive.
+      if (op == FaultOp::kRollOver && plan_->DrawUniform(2) == 1) {
+        Result<uint64_t> renamed = inner_->RollOver();
+        (void)renamed;
+      }
       return FaultPlan::CrashedError();
     case FaultOutcome::kError:
     case FaultOutcome::kTorn:
@@ -124,18 +130,22 @@ int64_t FaultyLogStorage::Size() const {
   return inner_->Size() + static_cast<int64_t>(tail_.size());
 }
 
-Status FaultyLogStorage::TrimTail(uint64_t keep) {
+Status FaultyLogStorage::TrimTail(uint64_t keep, uint64_t frame_end) {
   MutexGuard guard(mu_);
   if (plan_->crashed()) return FaultPlan::CrashedError();
   // Not a scripted op: recovery's cut of a torn tail leaves the op indexes
-  // of a torture run as they were.
+  // of a torture run as they were. The pending tail continues the active
+  // segment, so a bad frame ending inside it has more bytes after it.
   const uint64_t inner = static_cast<uint64_t>(inner_->Size());
+  if (frame_end >= inner && frame_end < inner + tail_.size()) {
+    return Status::Corruption("bad log frame followed by more log");
+  }
   if (keep >= inner) {
     tail_.resize(std::min<uint64_t>(tail_.size(), keep - inner));
     return Status::OK();
   }
   tail_.clear();
-  return inner_->TrimTail(keep);
+  return inner_->TrimTail(keep, frame_end);
 }
 
 int64_t FaultyLogStorage::PendingBytes() const {

@@ -24,8 +24,10 @@ namespace btrim {
 /// A torn *append* fault keeps a seeded prefix of the new bytes in the tail
 /// and reports IOError; the Log layer reacts by poisoning itself, so the
 /// garbage can never be followed by valid records.
-/// RollOver pushes the tail down like Sync (a crash there tears it); it and
-/// DropBefore each consult the plan once. A failed drop drops nothing.
+/// RollOver pushes the tail down like Sync (a crash there tears it, and on
+/// a seeded half of such crashes the rename is durable too, so the torn
+/// bytes end the newest archive); it and DropBefore each consult the plan
+/// once. A failed drop drops nothing.
 class FaultyLogStorage : public LogStorage {
  public:
   FaultyLogStorage(std::unique_ptr<LogStorage> inner,
@@ -37,7 +39,7 @@ class FaultyLogStorage : public LogStorage {
   Result<uint64_t> RollOver() override;
   Status DropBefore(uint64_t mark) override;
   int64_t Size() const override;
-  Status TrimTail(uint64_t keep) override;
+  Status TrimTail(uint64_t keep, uint64_t frame_end) override;
 
   /// Bytes appended since the last successful sync (test introspection).
   int64_t PendingBytes() const;

@@ -71,8 +71,12 @@ int64_t MemLogStorage::Size() const {
   return static_cast<int64_t>(end_ - start_);
 }
 
-Status MemLogStorage::TrimTail(uint64_t keep) {
+Status MemLogStorage::TrimTail(uint64_t keep, uint64_t frame_end) {
   MutexGuard guard(mu_);
+  // One segment: a rollover only marks a position.
+  if (start_ + frame_end < end_) {
+    return Status::Corruption("bad log frame followed by more log");
+  }
   end_ = std::min(end_, start_ + keep);
   // Keep exactly the chunks up to end_: Append writes into the last one.
   chunks_.resize((end_ + kChunkBytes - 1) / kChunkBytes -
@@ -94,6 +98,14 @@ Status SyncDirOf(const std::string& path) {
   const int err = errno;
   ::close(fd);
   if (rc != 0) return Status::IOError("fsync " + dir + ": " + strerror(err));
+  return Status::OK();
+}
+
+/// Cuts the file open as `fd` back to `size` bytes, durably.
+Status Truncate(int fd, int64_t size, const std::string& path) {
+  if (::ftruncate(fd, size) != 0 || ::fdatasync(fd) != 0) {
+    return Status::IOError("truncate " + path + ": " + strerror(errno));
+  }
   return Status::OK();
 }
 
@@ -245,24 +257,47 @@ int64_t FileLogStorage::Size() const {
   return size;
 }
 
-Status FileLogStorage::TrimTail(uint64_t keep) {
+Status FileLogStorage::TrimTail(uint64_t keep, uint64_t frame_end) {
   MutexGuard guard(mu_);
   RwSpinLockWriteGuard append_guard(append_latch_);
-  uint64_t archived = 0;
-  for (const auto& archive : archives_) {
-    archived += static_cast<uint64_t>(archive.second);
-    // RollOver syncs a segment before archiving it, so no crash leaves a
-    // partial frame inside an archive.
-    if (keep < archived) {
-      return Status::Corruption("bad log frame inside archived segment " +
-                                ArchivePath(archive.first));
+  uint64_t start = 0;  // of the segment holding byte `keep`
+  for (size_t i = 0; i < archives_.size(); ++i) {
+    const uint64_t bytes = static_cast<uint64_t>(archives_[i].second);
+    if (keep >= start + bytes) {
+      start += bytes;
+      continue;
     }
+    // RollOver syncs the renamed segment after the rename, so a crash can
+    // leave the newest archive with a torn tail. No Sync returned after
+    // that rename (Sync waits for RollOver's mu_), so the active segment
+    // holds nothing acked and goes too, first: a crash between the two
+    // cuts must not leave its frames behind a whole archive. An older
+    // archive, or a bad frame with more bytes after it, is damage.
+    const std::string archive = ArchivePath(archives_[i].first);
+    if (i + 1 < archives_.size() || frame_end < start + bytes) {
+      return Status::Corruption("bad log frame inside archived segment " +
+                                archive);
+    }
+    BTRIM_RETURN_IF_ERROR(Truncate(fd_, 0, path_));
+    active_bytes_.store(0);
+    const int fd = ::open(archive.c_str(), O_WRONLY);
+    if (fd < 0) {
+      return Status::IOError("open " + archive + ": " + strerror(errno));
+    }
+    const int64_t cut = static_cast<int64_t>(keep - start);
+    Status s = Truncate(fd, cut, archive);
+    ::close(fd);
+    BTRIM_RETURN_IF_ERROR(s);
+    archives_[i].second = cut;
+    return Status::OK();
   }
-  const int64_t active = static_cast<int64_t>(keep - archived);
+  const int64_t active = static_cast<int64_t>(keep - start);
   if (active >= active_bytes_.load()) return Status::OK();
-  if (::ftruncate(fd_, active) != 0 || ::fdatasync(fd_) != 0) {
-    return Status::IOError("truncate " + path_ + ": " + strerror(errno));
+  if (frame_end < start + static_cast<uint64_t>(active_bytes_.load())) {
+    return Status::Corruption("bad log frame followed by more log in " +
+                              path_);
   }
+  BTRIM_RETURN_IF_ERROR(Truncate(fd_, active, path_));
   active_bytes_.store(active);
   return Status::OK();
 }
@@ -367,9 +402,10 @@ Status Log::Replay(const std::function<bool(const LogRecord&)>& fn) {
   LogRecord rec;
   while (true) {
     Status s = ParseLogRecord(&input, &rec);
-    if (s.IsNotFound()) {  // clean or torn end
+    if (s.IsNotFound()) {  // clean end, or a bad frame
       if (input.empty()) return Status::OK();
-      return storage_->TrimTail(content.size() - input.size());
+      const uint64_t keep = content.size() - input.size();
+      return storage_->TrimTail(keep, keep + LogFrameBytes(input));
     }
     BTRIM_RETURN_IF_ERROR(s);
     if (!fn(rec)) return Status::OK();

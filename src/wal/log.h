@@ -39,11 +39,14 @@ class LogStorage {
   virtual Status DropBefore(uint64_t mark) = 0;
   /// Retained bytes.
   virtual int64_t Size() const = 0;
-  /// Cuts the retained bytes back to the first `keep` (offsets as ReadAll
-  /// returns them) and makes the cut durable, so the next append follows
-  /// byte `keep`. Only the active segment may lose bytes: a cut reaching
-  /// into an archived segment is Corruption.
-  virtual Status TrimTail(uint64_t keep) = 0;
+  /// Cuts off a torn tail: the bad frame spanning [`keep`, `frame_end`)
+  /// (offsets as ReadAll returns them; `frame_end` may lie past the
+  /// retained bytes) and everything after it, durably, so the next append
+  /// follows byte `keep`. The frame must reach the end of its segment, and
+  /// that segment must be the active one or the newest archive; the cut
+  /// then also empties the active segment. Any other bad frame is
+  /// Corruption, and nothing is cut.
+  virtual Status TrimTail(uint64_t keep, uint64_t frame_end) = 0;
 };
 
 /// Heap-backed log storage (fast experiments, unit tests, and every log of
@@ -67,7 +70,7 @@ class MemLogStorage : public LogStorage {
   Result<uint64_t> RollOver() override;
   Status DropBefore(uint64_t mark) override;
   int64_t Size() const override;
-  Status TrimTail(uint64_t keep) override;
+  Status TrimTail(uint64_t keep, uint64_t frame_end) override;
 
  private:
   mutable Mutex mu_{LockRank::kLogInternal, "wal.mem_storage"};
@@ -95,7 +98,7 @@ class FileLogStorage : public LogStorage {
   Result<uint64_t> RollOver() override;
   Status DropBefore(uint64_t mark) override;
   int64_t Size() const override;
-  Status TrimTail(uint64_t keep) override;
+  Status TrimTail(uint64_t keep, uint64_t frame_end) override;
 
  private:
   explicit FileLogStorage(std::string path) : path_(std::move(path)) {}
@@ -163,8 +166,9 @@ class Log {
   /// Reads every complete record from the start of the log. Stops early if
   /// `fn` returns false. A torn tail (a crash's partial last frame)
   /// terminates iteration cleanly; a replay that reaches it cuts it off the
-  /// storage, so what a restarted process appends next follows the last
-  /// whole frame and a later replay reaches it. Replay a reopened log
+  /// storage (LogStorage::TrimTail), so what a restarted process appends
+  /// next follows the last whole frame and a later replay reaches it. A bad
+  /// frame that is not a torn tail is Corruption. Replay a reopened log
   /// before appending to it.
   Status Replay(const std::function<bool(const LogRecord&)>& fn);
 

@@ -60,6 +60,11 @@ void AppendLogRecord(std::string* dst, const LogRecord& rec, Slice before,
                                HashBytes(frame + kHeaderBytes, body_len)));
 }
 
+uint64_t LogFrameBytes(Slice input) {
+  if (input.size() < kHeaderBytes) return kHeaderBytes;
+  return kHeaderBytes + DecodeFixed32(input.data());
+}
+
 Status ParseLogRecord(Slice* input, LogRecord* rec) {
   if (input->size() < 8) return Status::NotFound("end of log");
   const uint32_t body_len = DecodeFixed32(input->data());
@@ -69,7 +74,7 @@ Status ParseLogRecord(Slice* input, LogRecord* rec) {
   }
   Slice body(input->data() + 8, body_len);
   if (static_cast<uint32_t>(HashBytes(body.data(), body.size())) != checksum) {
-    return Status::NotFound("checksum mismatch at log tail");
+    return Status::NotFound("log frame checksum mismatch");
   }
   input->remove_prefix(8 + body_len);
 

@@ -86,8 +86,13 @@ void AppendLogRecord(std::string* dst, const LogRecord& rec, Slice before,
                      Slice after);
 
 /// Parses one framed record from the front of `input`, consuming it.
-/// Returns NotFound at a clean end or a torn/corrupt tail.
+/// Returns NotFound, consuming nothing, at the end of `input` or at a bad
+/// frame: one cut short or failing its checksum.
 Status ParseLogRecord(Slice* input, LogRecord* rec);
+
+/// Bytes the frame at the front of `input` declares it spans, header
+/// included; a partial header declares at least a whole header.
+uint64_t LogFrameBytes(Slice input);
 
 }  // namespace btrim
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -249,6 +250,34 @@ TEST_F(ColdStorageTest, TornTailFrameIsDroppedIntactFramesSurvive) {
   ASSERT_TRUE(store->Load().ok());
   EXPECT_EQ(store->rows(), 60);
   EXPECT_TRUE(store->ReadRow(MakeRid(205), &out).ok());
+}
+
+// A damaged frame with intact frames after it is not a torn flush: the
+// load reports it and cuts nothing, so the later segments stay on disk.
+TEST_F(ColdStorageTest, DamagedFrameBeforeIntactOnesIsCorruption) {
+  {
+    auto store = OpenStore();
+    for (int64_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE(store->Place(1, 0, MakeRid(i), Slice(Row(i))).ok());
+      if (i % 50 == 49) {
+        ASSERT_TRUE(store->Flush().ok());  // two segments
+      }
+    }
+  }
+  const auto full = std::filesystem::file_size(SegPath());
+  {
+    // Flip the last payload byte of the first frame.
+    std::fstream f(SegPath(), std::ios::binary | std::ios::in | std::ios::out);
+    char header[8];
+    ASSERT_TRUE(f.read(header, sizeof(header)));
+    const std::streamoff last = 8 + DecodeFixed32(header + 4) - 1;
+    char byte = 0;
+    ASSERT_TRUE(f.seekg(last).get(byte));
+    ASSERT_TRUE(f.seekp(last).put(static_cast<char>(byte ^ 0x5a)));
+  }
+  auto store = OpenStore();
+  EXPECT_TRUE(store->Load().IsCorruption());
+  EXPECT_EQ(std::filesystem::file_size(SegPath()), full);
 }
 
 TEST_F(ColdStorageTest, EraseJournalSurvivesReload) {

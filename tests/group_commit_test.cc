@@ -189,7 +189,9 @@ class FailingSyncStorage : public LogStorage {
   }
   Status DropBefore(uint64_t mark) override { return mem_.DropBefore(mark); }
   int64_t Size() const override { return mem_.Size(); }
-  Status TrimTail(uint64_t keep) override { return mem_.TrimTail(keep); }
+  Status TrimTail(uint64_t keep, uint64_t frame_end) override {
+    return mem_.TrimTail(keep, frame_end);
+  }
 
  private:
   MemLogStorage mem_;

@@ -646,23 +646,136 @@ TEST(FileLogStorageTest, ReplayCutsTornTailBeforeTheNextAppend) {
   std::filesystem::remove(path);
 }
 
-// RollOver syncs a segment before archiving it, so a bad frame inside an
-// archive is damage, not a crash's torn tail.
-TEST(FileLogStorageTest, BadFrameInsideAnArchiveIsCorruption) {
+// Txn ids of the records `log` replays, and the replay's status.
+std::vector<uint64_t> ReplayIds(Log* log, Status* status) {
+  std::vector<uint64_t> seen;
+  *status = log->Replay([&](const LogRecord& rec) {
+    seen.push_back(rec.txn_id);
+    return true;
+  });
+  return seen;
+}
+
+std::string Frame(uint64_t txn) {
+  std::string frame;
+  AppendLogRecord(&frame, SampleRecord(LogRecordType::kPsInsert, txn));
+  return frame;
+}
+
+// RollOver renames the active segment before it syncs it, so a crash in
+// between can leave the newest archive ending in a torn frame. Nothing
+// after the rename was acked (a Sync waits for the rollover), so recovery
+// cuts the archive there and empties the active segment.
+TEST(FileLogStorageTest, TornTailOfTheNewestArchiveIsCut) {
+  const std::string dir = testing::ScratchPath("btrim_wal_torn_archive");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/syslogs.wal";
+  auto open_log = [&] {
+    Result<std::unique_ptr<FileLogStorage>> storage =
+        FileLogStorage::Open(path);
+    EXPECT_TRUE(storage.ok());
+    return std::make_unique<Log>(std::move(*storage));
+  };
+  Status s;
+  {
+    std::unique_ptr<Log> log = open_log();
+    ASSERT_TRUE(log->AppendSerialized(Frame(1), 1).ok());
+    const std::string torn = Frame(2);
+    ASSERT_TRUE(log->AppendSerialized(Slice(torn.data(), torn.size() / 2), 1)
+                    .ok());
+    ASSERT_TRUE(log->RollOver().ok());
+    ASSERT_TRUE(log->AppendSerialized(Frame(3), 1).ok());  // never acked
+    ASSERT_TRUE(log->SyncStorage().ok());
+  }
+  const std::string archive = dir + "/syslogs.1.wal";
+  {
+    std::unique_ptr<Log> log = open_log();
+    EXPECT_EQ(ReplayIds(log.get(), &s), std::vector<uint64_t>{1});
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(std::filesystem::file_size(archive), Frame(1).size());
+    EXPECT_EQ(std::filesystem::file_size(path), 0u);
+    ASSERT_TRUE(log->AppendSerialized(Frame(4), 1).ok());
+    ASSERT_TRUE(log->SyncStorage().ok());
+  }
+  std::unique_ptr<Log> log = open_log();
+  EXPECT_EQ(ReplayIds(log.get(), &s), (std::vector<uint64_t>{1, 4}));
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  log.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// A bad frame in an archive older than the newest is damage, not a crash's
+// torn tail: every later rollover synced before it returned.
+TEST(FileLogStorageTest, BadFrameInsideAnOlderArchiveIsCorruption) {
   const std::string dir = testing::ScratchPath("btrim_wal_bad_archive");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   Result<std::unique_ptr<FileLogStorage>> storage =
       FileLogStorage::Open(dir + "/syslogs.wal");
   ASSERT_TRUE(storage.ok());
-  FileLogStorage* raw = storage->get();
   Log log(std::move(*storage));
-  ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsInsert, 1)).ok());
-  ASSERT_TRUE(raw->Append("garbage").ok());
+  ASSERT_TRUE(log.AppendSerialized(Frame(1), 1).ok());
+  ASSERT_TRUE(log.AppendSerialized("garbage", 1).ok());
   ASSERT_TRUE(log.RollOver().ok());
-  ASSERT_TRUE(log.AppendRecord(SampleRecord(LogRecordType::kPsInsert, 2)).ok());
-  EXPECT_TRUE(
-      log.Replay([](const LogRecord&) { return true; }).IsCorruption());
+  ASSERT_TRUE(log.AppendSerialized(Frame(2), 1).ok());
+  ASSERT_TRUE(log.RollOver().ok());
+  ASSERT_TRUE(log.AppendSerialized(Frame(3), 1).ok());
+  const int64_t size = log.SizeBytes();
+  Status s;
+  ReplayIds(&log, &s);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(log.SizeBytes(), size);  // nothing cut
+  std::filesystem::remove_all(dir);
+}
+
+// A frame failing its checksum with more bytes of its segment after it is
+// damage: replay reports it and cuts nothing, so the synced frames behind
+// it stay on disk. The same frame at the very end is a torn tail.
+TEST(FileLogStorageTest, BadFrameFollowedByMoreOfItsSegmentIsCorruption) {
+  const std::string dir = testing::ScratchPath("btrim_wal_bad_middle");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::string damaged = Frame(2);
+  damaged.back() ^= 0x5a;
+  for (const bool archived : {false, true}) {
+    const std::string path =
+        dir + (archived ? "/archived.wal" : "/active.wal");
+    Result<std::unique_ptr<FileLogStorage>> storage =
+        FileLogStorage::Open(path);
+    ASSERT_TRUE(storage.ok());
+    Log log(std::move(*storage));
+    ASSERT_TRUE(log.AppendSerialized(Frame(1), 1).ok());
+    ASSERT_TRUE(log.AppendSerialized(damaged, 1).ok());
+    ASSERT_TRUE(log.AppendSerialized(Frame(3), 1).ok());
+    if (archived) {
+      ASSERT_TRUE(log.RollOver().ok());
+    }
+    const int64_t size = log.SizeBytes();
+    Status s;
+    EXPECT_EQ(ReplayIds(&log, &s), std::vector<uint64_t>{1});
+    EXPECT_TRUE(s.IsCorruption()) << archived << ": " << s.ToString();
+    EXPECT_EQ(log.SizeBytes(), size) << archived;
+  }
+  MemLogStorage mem;
+  ASSERT_TRUE(mem.Append(Frame(1)).ok());
+  ASSERT_TRUE(mem.Append(damaged).ok());
+  ASSERT_TRUE(mem.Append(Frame(3)).ok());
+  EXPECT_TRUE(mem.TrimTail(Frame(1).size(), Frame(1).size() + damaged.size())
+                  .IsCorruption());
+  EXPECT_EQ(mem.Size(), static_cast<int64_t>(3 * damaged.size()));
+
+  // At the end of the active segment the damaged frame is a torn tail.
+  Result<std::unique_ptr<FileLogStorage>> storage =
+      FileLogStorage::Open(dir + "/tail.wal");
+  ASSERT_TRUE(storage.ok());
+  Log log(std::move(*storage));
+  ASSERT_TRUE(log.AppendSerialized(Frame(1), 1).ok());
+  ASSERT_TRUE(log.AppendSerialized(damaged, 1).ok());
+  Status s;
+  EXPECT_EQ(ReplayIds(&log, &s), std::vector<uint64_t>{1});
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(log.SizeBytes(), static_cast<int64_t>(Frame(1).size()));
   std::filesystem::remove_all(dir);
 }
 
