@@ -205,11 +205,7 @@ bool BuildHistory(const RunParams& p, CheckpointResult* ckpt,
     auto txn = db->Begin();
     Status s = db->Update(txn.get(), table,
                           table->pk_encoder().KeyForInts({i}),
-                          [&](std::string* payload) {
-                            RecordEditor e(&table->schema(), Slice(*payload));
-                            e.SetString(2, upd);
-                            *payload = e.Encode();
-                          });
+                          [&](RowEditor& e) { e.SetString(2, upd); });
     if (s.ok()) s = db->Commit(txn.get());
     else { Status a = db->Abort(txn.get()); (void)a; }
     if (!s.ok()) {

@@ -76,11 +76,8 @@ int main() {
       auto txn = db->Begin();
       Status s = db->Update(txn.get(), sessions,
                             sessions->pk_encoder().KeyForInts({i % 32}),
-                            [&](std::string* payload) {
-                              RecordEditor e(&sessions->schema(),
-                                             Slice(*payload));
+                            [&](RowEditor& e) {
                               e.SetInt64(1, e.GetInt(1) + 1);
-                              *payload = e.Encode();
                             });
       if (s.ok()) {
         RecordBuilder b(&audit->schema());

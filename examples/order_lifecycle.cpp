@@ -84,11 +84,7 @@ int main() {
     auto txn = db->Begin();
     Status s = db->Update(txn.get(), orders,
                           orders->pk_encoder().KeyForInts({id}),
-                          [&](std::string* payload) {
-                            RecordEditor e(&orders->schema(), Slice(*payload));
-                            e.SetString(1, "SHIPPED");
-                            *payload = e.Encode();
-                          });
+                          [&](RowEditor& e) { e.SetString(1, "SHIPPED"); });
     if (s.ok()) {
       s = db->Commit(txn.get());
     }

@@ -86,16 +86,8 @@ int main() {
   // Transfer money between two accounts (update two rows atomically).
   {
     std::unique_ptr<Transaction> txn = db->Begin();
-    auto debit = [&](std::string* payload) {
-      RecordEditor e(&accounts->schema(), Slice(*payload));
-      e.SetDouble(2, e.GetDouble(2) - 25.0);
-      *payload = e.Encode();
-    };
-    auto credit = [&](std::string* payload) {
-      RecordEditor e(&accounts->schema(), Slice(*payload));
-      e.SetDouble(2, e.GetDouble(2) + 25.0);
-      *payload = e.Encode();
-    };
+    auto debit = [&](RowEditor& e) { e.SetDouble(2, e.GetDouble(2) - 25.0); };
+    auto credit = [&](RowEditor& e) { e.SetDouble(2, e.GetDouble(2) + 25.0); };
     Status s = db->Update(txn.get(), accounts,
                           accounts->pk_encoder().KeyForInts({1}), debit);
     if (s.ok()) {

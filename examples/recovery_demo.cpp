@@ -10,8 +10,11 @@
 //
 //   ./build/examples/recovery_demo
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "engine/database.h"
 
@@ -19,7 +22,10 @@ using namespace btrim;
 
 namespace {
 
-constexpr const char* kDir = "/tmp/btrim_recovery_demo";
+// Named per process, so two runs at once do not delete each other's files.
+const std::string kDir = (std::filesystem::temp_directory_path() /
+                          ("btrim_recovery_demo_" + std::to_string(getpid())))
+                             .string();
 
 TableOptions AccountsSchema() {
   TableOptions topt;
@@ -53,6 +59,7 @@ int main() {
 
   printf("Run 1: populate and crash.\n");
   {
+    std::unique_ptr<Transaction> loser;  // outlives `db`, as in a crash
     std::unique_ptr<Database> db = OpenDb();
     Table* accounts = *db->CreateTable(AccountsSchema());
 
@@ -78,14 +85,11 @@ int main() {
     db->ilm()->SetForcePageStore(false);
 
     // An uncommitted transaction whose dirty page is stolen to disk.
-    auto* loser = db->Begin().release();
-    Status s = db->Update(loser, accounts,
+    loser = db->Begin();
+    Status s = db->Update(loser.get(), accounts,
                           accounts->pk_encoder().KeyForInts({777}),
-                          [&](std::string* payload) {
-                            RecordEditor e(&accounts->schema(),
-                                           Slice(*payload));
+                          [&](RowEditor& e) {
                             e.SetDouble(2, 999999.0);  // never committed
-                            *payload = e.Encode();
                           });
     if (!s.ok()) return 1;
     s = db->buffer_cache()->FlushAll();
@@ -94,11 +98,11 @@ int main() {
     printf("  committed: 20 IMRS accounts + 1 page-store account\n");
     printf("  in flight: uncommitted balance update, dirty page on disk\n");
     printf("  ... crash (no checkpoint, no clean shutdown) ...\n\n");
-    // `db` destroyed here; `loser` intentionally leaked (it died with the
-    // process in a real crash).
+    // `db` is destroyed here, with `loser` never finished.
   }
 
   printf("Run 2: reopen, re-create the catalog, recover.\n");
+  bool ok = false;
   {
     std::unique_ptr<Database> db = OpenDb();
     Table* accounts = *db->CreateTable(AccountsSchema());
@@ -138,8 +142,9 @@ int main() {
     printf("  IMRS residency restored : %lld rows in the RID-map\n",
            static_cast<long long>(db->rid_map()->Size()));
 
-    const bool ok = recovered == 20 && v.GetDouble(2) == 7.0;
+    ok = recovered == 20 && v.GetDouble(2) == 7.0;
     printf("\n%s\n", ok ? "RECOVERY OK" : "RECOVERY FAILED");
-    return ok ? 0 : 1;
   }
+  std::filesystem::remove_all(kDir);
+  return ok ? 0 : 1;
 }

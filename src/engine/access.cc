@@ -267,10 +267,8 @@ Status Database::LocateByKey(Table* table, Slice pk, Located* loc) {
   return Status::OK();
 }
 
-Status Database::ReadVisible(Transaction* txn, Table* table,
-                             const Located& loc, std::string* out,
-                             bool* from_imrs) {
-  (void)table;
+Status Database::ReadVisible(Transaction* txn, const Located& loc,
+                             std::string* out, bool* from_imrs) {
   *from_imrs = false;
   // Settles the read from `row`'s IMRS versions when they decide it (into
   // `status`); false when the page-store image is the visible one.
@@ -308,19 +306,28 @@ Status Database::ReadVisible(Transaction* txn, Table* table,
     ImrsRow* row = rid_map_.Lookup(loc.rid);
     if (row != nullptr && read_imrs(row)) return status;
   }
-  bool contended = false;
-  Status s = loc.part->heap->Read(loc.rid, out, &contended);
-  loc.part->ilm->metrics.page_ops.Inc();
-  if (contended) loc.part->ilm->metrics.page_contention.Inc();
-  if (s.IsNotFound()) {
-    // No heap slot: the row's home may be cold-columnar (Pack relocated it
-    // there). Still a committed read — cold rows only change under the
-    // exclusive row lock our shared lock excludes.
-    s = cold_->ReadRow(loc.rid, out);
-  }
-  if (!s.ok()) return s;
+  // A cold-columnar home is still a committed read: cold rows only change
+  // under the exclusive row lock our shared lock excludes.
+  BTRIM_RETURN_IF_ERROR(ReadPageStoreHome(loc.part, loc.rid, out));
   page_ops_.Inc();
   return Status::OK();
+}
+
+Status Database::ReadPageStoreHome(TablePartition* part, Rid rid,
+                                   std::string* out, bool* cold_home,
+                                   bool* contended) {
+  bool heap_contended = false;
+  Status s = part->heap->Read(rid, out, &heap_contended);
+  part->ilm->metrics.page_ops.Inc();
+  if (heap_contended) part->ilm->metrics.page_contention.Inc();
+  if (contended != nullptr) *contended = heap_contended;
+  bool cold = false;
+  if (s.IsNotFound()) {  // Pack may have relocated the row cold-columnar
+    s = cold_->ReadRow(rid, out);
+    cold = s.ok();
+  }
+  if (cold_home != nullptr) *cold_home = cold;
+  return s;
 }
 
 void Database::MaybeCacheOnSelect(Transaction* txn, Table* table,
@@ -345,24 +352,41 @@ Status Database::SelectByKey(Transaction* txn, Table* table, Slice pk,
   Located loc;
   BTRIM_RETURN_IF_ERROR(LocateByKey(table, pk, &loc));
   bool from_imrs = false;
-  BTRIM_RETURN_IF_ERROR(ReadVisible(txn, table, loc, out, &from_imrs));
+  BTRIM_RETURN_IF_ERROR(ReadVisible(txn, loc, out, &from_imrs));
   if (!from_imrs) {
     MaybeCacheOnSelect(txn, table, loc.part, loc.rid, pk, Slice(*out));
   }
   return Status::OK();
 }
 
-Status Database::UpdateImrsRow(Transaction* txn, TablePartition* part,
-                               ImrsRow* row,
-                               const std::function<void(std::string*)>&
-                                   mutator) {
+Status Database::EditRow(Transaction* txn, const Table& table, Slice base,
+                         FunctionRef<void(RowEditor&)> edit, Slice* edited) {
+  std::string* image = txn->edit_buffer();
+  image->assign(base.data(), base.size());
+  RowEditor editor(&table.schema(), image);
+  if (!editor.valid()) return Status::Corruption("undecodable row image");
+  edit(editor);
+  if (editor.too_long()) {
+    return Status::InvalidArgument("edit sets a string over its max_len");
+  }
+  if ((editor.set_columns() & table.placement_columns()) != 0) {
+    return Status::InvalidArgument(
+        "edit sets a key, index or partition column");
+  }
+  *edited = Slice(*image);
+  return Status::OK();
+}
+
+Status Database::UpdateImrsRow(Transaction* txn, Table* table,
+                               TablePartition* part, ImrsRow* row,
+                               FunctionRef<void(RowEditor&)> edit) {
   RowVersion* base = WriteBase(row, txn->id());
   if (base == nullptr) return Status::NotFound("row deleted");
-  std::string payload(base->data(), base->data_size);
-  mutator(&payload);
+  Slice payload;
+  BTRIM_RETURN_IF_ERROR(EditRow(txn, *table, base->payload(), edit, &payload));
 
   int64_t bytes = 0;
-  Result<RowVersion*> added = imrs_->AddVersion(row, Slice(payload),
+  Result<RowVersion*> added = imrs_->AddVersion(row, payload,
                                                 /*is_delete=*/false,
                                                 txn->id(), &bytes);
   if (!added.ok()) return added.status();
@@ -381,29 +405,21 @@ Status Database::UpdateImrsRow(Transaction* txn, TablePartition* part,
 
 Status Database::UpdatePageStoreRow(Transaction* txn, Table* table,
                                     TablePartition* part, Rid rid, Slice pk,
-                                    const std::function<void(std::string*)>&
-                                        mutator) {
+                                    FunctionRef<void(RowEditor&)> edit) {
   std::string before;
-  bool contended = false;
   bool cold_home = false;
-  Status s = part->heap->Read(rid, &before, &contended);
-  part->ilm->metrics.page_ops.Inc();
-  if (contended) part->ilm->metrics.page_contention.Inc();
-  if (s.IsNotFound() && cold_->ReadRow(rid, &before).ok()) {
-    cold_home = true;
-    s = Status::OK();
-  }
-  if (!s.ok()) return s;
-
-  std::string payload = before;
-  mutator(&payload);
+  bool contended = false;
+  BTRIM_RETURN_IF_ERROR(
+      ReadPageStoreHome(part, rid, &before, &cold_home, &contended));
+  Slice payload;
+  BTRIM_RETURN_IF_ERROR(EditRow(txn, *table, Slice(before), edit, &payload));
 
   // ILM decision (Sec. IV): a point update of a page-store row migrates it
   // into the IMRS (unique-index access anticipates re-access; observed page
   // contention argues the same way).
   if (ilm_->ShouldMigrateOnUpdate(part->ilm, /*unique_index_access=*/true,
                                   contended)) {
-    Status ms = InsertToImrs(txn, table, part, rid, Slice(payload), pk,
+    Status ms = InsertToImrs(txn, table, part, rid, payload, pk,
                              RowSource::kMigrated);
     if (ms.ok()) {
       imrs_ops_.Inc();
@@ -422,7 +438,7 @@ Status Database::UpdatePageStoreRow(Transaction* txn, Table* table,
     cold_->Erase(rid);
     txn->AddIntent({.kind = IntentKind::kColdErase, .rid = rid.Encode(),
                     .partition = part->ilm}, Slice(), before);
-    Status ps = InsertToPageStore(txn, part, rid, Slice(payload));
+    Status ps = InsertToPageStore(txn, part, rid, payload);
     if (ps.ok()) page_ops_.Inc();
     return ps;
   }
@@ -432,7 +448,7 @@ Status Database::UpdatePageStoreRow(Transaction* txn, Table* table,
                                           rid, before, payload));
 
   bool contended2 = false;
-  s = part->heap->Update(rid, Slice(payload), &contended2);
+  Status s = part->heap->Update(rid, payload, &contended2);
   if (contended2) part->ilm->metrics.page_contention.Inc();
   if (!s.ok()) return s;
   page_ops_.Inc();
@@ -442,7 +458,7 @@ Status Database::UpdatePageStoreRow(Transaction* txn, Table* table,
 }
 
 Status Database::Update(Transaction* txn, Table* table, Slice pk,
-                        const std::function<void(std::string*)>& mutator) {
+                        FunctionRef<void(RowEditor&)> edit) {
   Located loc;
   BTRIM_RETURN_IF_ERROR(LocateByKey(table, pk, &loc));
   BTRIM_RETURN_IF_ERROR(txn->AcquireLock(loc.rid.Encode(),
@@ -452,9 +468,9 @@ Status Database::Update(Transaction* txn, Table* table, Slice pk,
   // another transaction, or Pack relocating the row) — re-resolve.
   ImrsRow* row = rid_map_.Lookup(loc.rid);
   if (row != nullptr) {
-    return UpdateImrsRow(txn, loc.part, row, mutator);
+    return UpdateImrsRow(txn, table, loc.part, row, edit);
   }
-  return UpdatePageStoreRow(txn, table, loc.part, loc.rid, pk, mutator);
+  return UpdatePageStoreRow(txn, table, loc.part, loc.rid, pk, edit);
 }
 
 Status Database::Delete(Transaction* txn, Table* table, Slice pk) {
@@ -488,11 +504,10 @@ Status Database::Delete(Transaction* txn, Table* table, Slice pk) {
 
   // Page-store delete.
   std::string before;
-  bool contended = false;
-  Status s = loc.part->heap->Read(loc.rid, &before, &contended);
-  loc.part->ilm->metrics.page_ops.Inc();
-  if (contended) loc.part->ilm->metrics.page_contention.Inc();
-  if (s.IsNotFound() && cold_->ReadRow(loc.rid, &before).ok()) {
+  bool cold_home = false;
+  BTRIM_RETURN_IF_ERROR(
+      ReadPageStoreHome(loc.part, loc.rid, &before, &cold_home));
+  if (cold_home) {
     // Cold-columnar home: logged erase; like the heap path, the index
     // entries drop at commit.
     BTRIM_RETURN_IF_ERROR(LogPageStoreWrite(txn, LogRecordType::kColdErase,
@@ -504,7 +519,6 @@ Status Database::Delete(Transaction* txn, Table* table, Slice pk) {
                     .table = table, .partition = loc.part->ilm}, pk, before);
     return Status::OK();
   }
-  if (!s.ok()) return s;
 
   BTRIM_RETURN_IF_ERROR(LogPageStoreWrite(txn, LogRecordType::kPsDelete,
                                           loc.part, loc.rid, before, Slice()));
@@ -517,7 +531,7 @@ Status Database::Delete(Transaction* txn, Table* table, Slice pk) {
 
 Status Database::ScanIndex(Transaction* txn, Table* table, int index_no,
                            Slice lower, Slice upper, size_t limit,
-                           const std::function<bool(const ScanRow&)>& visitor) {
+                           FunctionRef<bool(const ScanRow&)> visitor) {
   BTree* tree = index_no < 0
                     ? table->primary_index()
                     : table->secondaries()[static_cast<size_t>(index_no)]
@@ -532,7 +546,7 @@ Status Database::ScanIndex(Transaction* txn, Table* table, int index_no,
     if (loc.part == nullptr) return true;
     loc.row = rid_map_.Lookup(loc.rid);
     row.rid = loc.rid;
-    status = ReadVisible(txn, table, loc, &row.payload, &row.from_imrs);
+    status = ReadVisible(txn, loc, &row.payload, &row.from_imrs);
     if (status.IsNotFound()) {  // invisible to this snapshot
       status = Status::OK();
       return true;

@@ -209,6 +209,9 @@ Result<Table*> Database::CreateTable(TableOptions options) {
   if (options.num_partitions < 1) {
     return Status::InvalidArgument("num_partitions must be >= 1");
   }
+  if (options.schema.num_columns() > kMaxColumns) {
+    return Status::InvalidArgument("schema wider than kMaxColumns");
+  }
   if (!options.range_bounds.empty()) {
     if (options.partition_column < 0) {
       return Status::InvalidArgument(
@@ -234,6 +237,14 @@ Result<Table*> Database::CreateTable(TableOptions options) {
   table->range_bounds_ = options.range_bounds;
   table->pk_encoder_ =
       std::make_unique<KeyEncoder>(&table->schema_, options.primary_key);
+  auto place = [&](int col) {
+    if (col >= 0) table->placement_columns_ |= uint64_t{1} << col;
+  };
+  for (int col : options.primary_key) place(col);
+  for (const IndexDef& def : options.secondary_indexes) {
+    for (int col : def.key_columns) place(col);
+  }
+  place(options.partition_column);
 
   // Slots per page: worst-case record size + one slot entry each.
   const size_t max_record = table->schema_.MaxRecordSize();

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,6 +12,7 @@
 #include "alloc/fragment_allocator.h"
 #include "cold/cold_store.h"
 #include "common/fault_plan.h"
+#include "common/function_ref.h"
 #include "common/mutex.h"
 #include "common/spinlock.h"
 #include "common/thread_annotations.h"
@@ -198,10 +198,12 @@ class Database : public PackClient {
   Status SelectByKey(Transaction* txn, Table* table, Slice pk,
                      std::string* out);
 
-  /// Point update by primary key: `mutator` receives the current payload
-  /// and rewrites it (must not change key columns).
+  /// Point update by primary key: `edit` edits a copy of the visible row,
+  /// which becomes the new version (DESIGN.md Sec. 7.2). InvalidArgument,
+  /// with nothing written, when it sets a Table::placement_columns column
+  /// or a string over max_len. `edit` must not call into the Database.
   Status Update(Transaction* txn, Table* table, Slice pk,
-                const std::function<void(std::string*)>& mutator);
+                FunctionRef<void(RowEditor&)> edit);
 
   /// Point delete by primary key.
   Status Delete(Transaction* txn, Table* table, Slice pk);
@@ -213,7 +215,7 @@ class Database : public PackClient {
   /// were visited. The reused ScanRow is valid only during the call.
   Status ScanIndex(Transaction* txn, Table* table, int index_no, Slice lower,
                    Slice upper, size_t limit,
-                   const std::function<bool(const ScanRow&)>& visitor);
+                   FunctionRef<bool(const ScanRow&)> visitor);
   /// Collecting form: appends the visible rows to `*out`.
   Status ScanIndex(Transaction* txn, Table* table, int index_no, Slice lower,
                    Slice upper, size_t limit, std::vector<ScanRow>* out);
@@ -232,7 +234,7 @@ class Database : public PackClient {
   /// to stop early.
   Status ScanTable(Transaction* txn, Table* table,
                    const HtapScanOptions& options,
-                   const std::function<bool(const HtapRow&)>& visitor,
+                   FunctionRef<bool(const HtapRow&)> visitor,
                    HtapScanStats* stats = nullptr);
 
   /// --- background / lifecycle ----------------------------------------------
@@ -370,8 +372,18 @@ class Database : public PackClient {
   /// Reads the visible version of a located row into *out (IMRS: snapshot
   /// read; page store: lock-based committed read). Used by select/scan.
   /// `*from_imrs` reports which store served the read.
-  Status ReadVisible(Transaction* txn, Table* table, const Located& loc,
-                     std::string* out, bool* from_imrs);
+  Status ReadVisible(Transaction* txn, const Located& loc, std::string* out,
+                     bool* from_imrs);
+
+  /// Reads `rid`'s heap slot, else its cold-columnar home (`*cold_home`),
+  /// into *out, counting the page op and any heap latch contention.
+  Status ReadPageStoreHome(TablePartition* part, Rid rid, std::string* out,
+                           bool* cold_home = nullptr,
+                           bool* contended = nullptr);
+
+  /// Runs `edit` over a copy of `base` in the transaction's edit buffer.
+  Status EditRow(Transaction* txn, const Table& table, Slice base,
+                 FunctionRef<void(RowEditor&)> edit, Slice* edited);
 
   /// WAL: logs one page-store or cold-store change to syslogs (redo-undo)
   /// before it is made, and marks the transaction as a page-store writer.
@@ -388,11 +400,11 @@ class Database : public PackClient {
   Status InsertToPageStore(Transaction* txn, TablePartition* part, Rid rid,
                            Slice record);
 
-  Status UpdateImrsRow(Transaction* txn, TablePartition* part, ImrsRow* row,
-                       const std::function<void(std::string*)>& mutator);
+  Status UpdateImrsRow(Transaction* txn, Table* table, TablePartition* part,
+                       ImrsRow* row, FunctionRef<void(RowEditor&)> edit);
   Status UpdatePageStoreRow(Transaction* txn, Table* table,
                             TablePartition* part, Rid rid, Slice pk,
-                            const std::function<void(std::string*)>& mutator);
+                            FunctionRef<void(RowEditor&)> edit);
 
   /// Tries to cache a page-store row read by point access into the IMRS
   /// (Sec. IV "selects can also bring rows"). Best effort.

@@ -29,7 +29,7 @@ namespace btrim {
 
 Status Database::ScanTable(Transaction* txn, Table* table,
                            const HtapScanOptions& options,
-                           const std::function<bool(const HtapRow&)>& visitor,
+                           FunctionRef<bool(const HtapRow&)> visitor,
                            HtapScanStats* stats) {
   HtapScanStats local;
   const size_t num_columns = table->schema().num_columns();
@@ -133,7 +133,7 @@ Status Database::ScanTable(Transaction* txn, Table* table,
           if (loc.part == nullptr) return true;
           loc.row = rid_map_.Lookup(loc.rid);
           bool from_imrs = false;
-          status = ReadVisible(txn, table, loc, &payload, &from_imrs);
+          status = ReadVisible(txn, loc, &payload, &from_imrs);
           if (status.IsNotFound()) {
             status = Status::OK();
             ++local.rows_skipped;  // invisible to this snapshot / deleted

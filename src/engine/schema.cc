@@ -7,28 +7,21 @@
 
 namespace btrim {
 
-Schema::Schema(std::vector<Column> columns) : columns_(std::move(columns)) {
-  for (const Column& c : columns_) {
-    switch (c.type) {
-      case ColumnType::kInt32:
-        max_record_size_ += 4;
-        break;
-      case ColumnType::kInt64:
-      case ColumnType::kDouble:
-        max_record_size_ += 8;
-        break;
-      case ColumnType::kString:
-        max_record_size_ += 2 + c.max_len;
-        break;
-    }
-  }
+static_assert(kMaxColumns <= 64, "RowEditor::set_columns is a 64-bit mask");
+
+namespace {
+
+size_t FixedWidth(ColumnType type) {
+  return type == ColumnType::kInt32 ? 4 : 8;
 }
 
-int Schema::FindColumn(const std::string& name) const {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name == name) return static_cast<int>(i);
+}  // namespace
+
+Schema::Schema(std::vector<Column> columns) : columns_(std::move(columns)) {
+  for (const Column& c : columns_) {
+    max_record_size_ +=
+        c.type == ColumnType::kString ? 2 + c.max_len : FixedWidth(c.type);
   }
-  return -1;
 }
 
 RecordBuilder& RecordBuilder::AddInt32(int32_t v) {
@@ -74,28 +67,21 @@ Slice RecordBuilder::Finish() const {
 
 RecordView::RecordView(const Schema* schema, Slice data)
     : schema_(schema), data_(data) {
-  offsets_.reserve(schema->num_columns());
+  // The codec's one offset walk; RowEditor inherits it.
+  if (schema->num_columns() > kMaxColumns) return;
   size_t off = 0;
   for (size_t i = 0; i < schema->num_columns(); ++i) {
-    offsets_.push_back(static_cast<uint32_t>(off));
-    switch (schema->column(i).type) {
-      case ColumnType::kInt32:
-        off += 4;
-        break;
-      case ColumnType::kInt64:
-      case ColumnType::kDouble:
-        off += 8;
-        break;
-      case ColumnType::kString: {
-        if (off + 2 > data.size()) return;
-        const uint16_t len = DecodeFixed16(data.data() + off);
-        off += 2 + len;
-        break;
-      }
+    offsets_[i] = static_cast<uint32_t>(off);
+    const ColumnType type = schema->column(i).type;
+    if (type == ColumnType::kString) {
+      if (off + 2 > data.size()) return;
+      off += 2 + DecodeFixed16(data.data() + off);
+    } else {
+      off += FixedWidth(type);
     }
     if (off > data.size()) return;
   }
-  valid_ = off <= data.size();
+  valid_ = true;
 }
 
 int32_t RecordView::GetInt32(size_t col) const {
@@ -129,62 +115,46 @@ int64_t RecordView::GetInt(size_t col) const {
              : GetInt64(col);
 }
 
-RecordEditor::RecordEditor(const Schema* schema, Slice data)
-    : schema_(schema) {
-  RecordView view(schema, data);
-  if (!view.valid()) return;
-  values_.resize(schema->num_columns());
-  for (size_t i = 0; i < schema->num_columns(); ++i) {
-    switch (schema->column(i).type) {
-      case ColumnType::kInt32:
-        values_[i].i = view.GetInt32(i);
-        break;
-      case ColumnType::kInt64:
-        values_[i].i = view.GetInt64(i);
-        break;
-      case ColumnType::kDouble:
-        values_[i].d = view.GetDouble(i);
-        break;
-      case ColumnType::kString:
-        values_[i].s = view.GetString(i).ToString();
-        break;
-    }
+void RowEditor::SetFixed(size_t col, ColumnType type, uint64_t bits) {
+  assert(valid_ && schema_->column(col).type == type);
+  char* p = record_->data() + offsets_[col];
+  if (type == ColumnType::kInt32) {
+    EncodeFixed32(p, static_cast<uint32_t>(bits));
+  } else {
+    EncodeFixed64(p, bits);
   }
-  valid_ = true;
+  set_columns_ |= uint64_t{1} << col;
 }
 
-void RecordEditor::SetInt32(size_t col, int32_t v) { values_[col].i = v; }
-void RecordEditor::SetInt64(size_t col, int64_t v) { values_[col].i = v; }
-void RecordEditor::SetDouble(size_t col, double v) { values_[col].d = v; }
-void RecordEditor::SetString(size_t col, Slice v) {
-  values_[col].s.assign(v.data(), v.size());
+void RowEditor::SetInt32(size_t col, int32_t v) {
+  SetFixed(col, ColumnType::kInt32, static_cast<uint32_t>(v));
 }
 
-int64_t RecordEditor::GetInt(size_t col) const { return values_[col].i; }
-double RecordEditor::GetDouble(size_t col) const { return values_[col].d; }
-std::string RecordEditor::GetString(size_t col) const {
-  return values_[col].s;
+void RowEditor::SetInt64(size_t col, int64_t v) {
+  SetFixed(col, ColumnType::kInt64, static_cast<uint64_t>(v));
 }
 
-std::string RecordEditor::Encode() const {
-  RecordBuilder builder(schema_);
-  for (size_t i = 0; i < schema_->num_columns(); ++i) {
-    switch (schema_->column(i).type) {
-      case ColumnType::kInt32:
-        builder.AddInt32(static_cast<int32_t>(values_[i].i));
-        break;
-      case ColumnType::kInt64:
-        builder.AddInt64(values_[i].i);
-        break;
-      case ColumnType::kDouble:
-        builder.AddDouble(values_[i].d);
-        break;
-      case ColumnType::kString:
-        builder.AddString(Slice(values_[i].s));
-        break;
-    }
+void RowEditor::SetDouble(size_t col, double v) {
+  uint64_t bits;
+  memcpy(&bits, &v, 8);
+  SetFixed(col, ColumnType::kDouble, bits);
+}
+
+void RowEditor::SetString(size_t col, Slice v) {
+  assert(valid_ && schema_->column(col).type == ColumnType::kString);
+  set_columns_ |= uint64_t{1} << col;
+  if (v.size() > schema_->column(col).max_len) {
+    too_long_ = true;
+    return;
   }
-  return builder.Finish().ToString();
+  const size_t old_len = GetString(col).size();
+  record_->replace(offsets_[col] + 2, old_len, v.data(), v.size());
+  EncodeFixed16(record_->data() + offsets_[col],
+                static_cast<uint16_t>(v.size()));
+  data_ = Slice(*record_);
+  for (size_t i = col + 1; i < schema_->num_columns(); ++i) {
+    offsets_[i] += static_cast<uint32_t>(v.size() - old_len);  // mod 2^32
+  }
 }
 
 void KeyEncoder::AppendInt(std::string* out, int64_t v) {
@@ -222,22 +192,17 @@ std::string KeyEncoder::KeyForRecord(Slice record) const {
   return key;
 }
 
-std::string KeyEncoder::KeyForInts(const std::vector<int64_t>& values) const {
+std::string KeyEncoder::KeyForInts(
+    std::initializer_list<int64_t> values) const {
   assert(values.size() == key_columns_.size());
-  std::string key;
-  for (int64_t v : values) {
-    AppendInt(&key, v);
-  }
-  return key;
+  return PrefixForInts(values);
 }
 
 std::string KeyEncoder::PrefixForInts(
-    const std::vector<int64_t>& values) const {
+    std::initializer_list<int64_t> values) const {
   assert(values.size() <= key_columns_.size());
   std::string key;
-  for (int64_t v : values) {
-    AppendInt(&key, v);
-  }
+  for (int64_t v : values) AppendInt(&key, v);
   return key;
 }
 

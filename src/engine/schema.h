@@ -2,6 +2,7 @@
 #define BTRIM_ENGINE_SCHEMA_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -49,9 +50,6 @@ class Schema {
   size_t num_columns() const { return columns_.size(); }
   const Column& column(size_t i) const { return columns_[i]; }
 
-  /// Index of the named column, -1 if absent.
-  int FindColumn(const std::string& name) const;
-
   /// Upper bound on an encoded record's size (drives slots-per-page).
   size_t MaxRecordSize() const { return max_record_size_; }
 
@@ -72,20 +70,19 @@ class RecordBuilder {
   RecordBuilder& AddDouble(double v);
   RecordBuilder& AddString(Slice v);
 
-  /// Encoded record; valid until the builder is reused or destroyed.
+  /// Encoded record; valid until the builder is destroyed.
   /// All columns must have been added.
   Slice Finish() const;
-
-  void Reset() {
-    buf_.clear();
-    next_col_ = 0;
-  }
 
  private:
   const Schema* const schema_;
   std::string buf_;
   size_t next_col_ = 0;
 };
+
+/// Widest schema the record codec handles (CreateTable rejects wider ones):
+/// decoding fills an inline array of this many offsets, so never allocates.
+inline constexpr size_t kMaxColumns = 32;
 
 /// Zero-copy decoded view over an encoded record.
 class RecordView {
@@ -102,43 +99,41 @@ class RecordView {
   /// Generic numeric accessor (int32/int64 columns).
   int64_t GetInt(size_t col) const;
 
- private:
+ protected:
   const Schema* const schema_;
   Slice data_;
-  std::vector<uint32_t> offsets_;  // byte offset of each column
+  uint32_t offsets_[kMaxColumns];  // byte offset of each column
   bool valid_ = false;
 };
 
-/// Decode-modify-reencode helper for UPDATE statements: columns start as
-/// copies of an existing record and can be overwritten before re-encoding.
-class RecordEditor {
+/// Edits an encoded record in place (Database::Update hands one to its edit
+/// callback). A fixed-width set overwrites the column's bytes; a string set
+/// splices the new bytes in and moves the columns after it. Reads see the
+/// edits so far; a GetString slice is valid until the next SetString. The
+/// editor records which columns were set, so the caller can refuse an edit;
+/// a string over its column's max_len is recorded, not stored.
+class RowEditor : public RecordView {
  public:
-  RecordEditor(const Schema* schema, Slice data);
-
-  bool valid() const { return valid_; }
+  /// Edits `*record`, which must outlive the editor.
+  RowEditor(const Schema* schema, std::string* record)
+      : RecordView(schema, Slice(*record)), record_(record) {}
 
   void SetInt32(size_t col, int32_t v);
   void SetInt64(size_t col, int64_t v);
   void SetDouble(size_t col, double v);
   void SetString(size_t col, Slice v);
 
-  int64_t GetInt(size_t col) const;
-  double GetDouble(size_t col) const;
-  std::string GetString(size_t col) const;
-
-  /// Re-encodes the record with the applied modifications.
-  std::string Encode() const;
+  /// Bit i is set when column i was set.
+  uint64_t set_columns() const { return set_columns_; }
+  /// A SetString exceeded its column's max_len.
+  bool too_long() const { return too_long_; }
 
  private:
-  struct Value {
-    int64_t i = 0;
-    double d = 0.0;
-    std::string s;
-  };
+  void SetFixed(size_t col, ColumnType type, uint64_t bits);
 
-  const Schema* const schema_;
-  std::vector<Value> values_;
-  bool valid_ = false;
+  std::string* const record_;
+  uint64_t set_columns_ = 0;
+  bool too_long_ = false;
 };
 
 /// Builds memcmp-ordered index keys: integers are encoded big-endian with a
@@ -155,10 +150,10 @@ class KeyEncoder {
   /// Key from explicit integer components (point lookups). The number of
   /// values must equal the number of key columns, and all key columns must
   /// be integer-typed.
-  std::string KeyForInts(const std::vector<int64_t>& values) const;
+  std::string KeyForInts(std::initializer_list<int64_t> values) const;
 
   /// Prefix of a key covering the first `n` key columns (range scans).
-  std::string PrefixForInts(const std::vector<int64_t>& values) const;
+  std::string PrefixForInts(std::initializer_list<int64_t> values) const;
 
   const std::vector<int>& key_columns() const { return key_columns_; }
 

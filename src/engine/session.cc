@@ -91,11 +91,8 @@ Status Session::Put(const std::string& table_name, int64_t key, Slice value) {
   }
   return RunOp([&](Transaction* txn) {
     const std::string pk = (*table)->pk_encoder().KeyForInts({key});
-    Status s = db_->Update(txn, *table, pk, [&](std::string* record) {
-      RecordEditor editor(&(*table)->schema(), *record);
-      editor.SetString(1, value);
-      *record = editor.Encode();
-    });
+    Status s = db_->Update(txn, *table, pk,
+                           [&](RowEditor& e) { e.SetString(1, value); });
     if (s.IsNotFound()) {
       RecordBuilder builder(&(*table)->schema());
       builder.AddInt64(key).AddString(value);

@@ -113,6 +113,10 @@ class Table {
     return static_cast<size_t>(v) % partitions_.size();
   }
 
+  /// Primary-key, secondary-index and partition columns (bit i = column i):
+  /// they place the row, so Database::Update refuses edits that set them.
+  uint64_t placement_columns() const { return placement_columns_; }
+
   bool range_partitioned() const { return !range_bounds_.empty(); }
   const std::vector<int64_t>& range_bounds() const { return range_bounds_; }
 
@@ -134,6 +138,7 @@ class Table {
   bool use_hash_index_ = true;
   HashIndex<ImrsRow*> hash_index_;
   int partition_column_ = -1;
+  uint64_t placement_columns_ = 0;
   std::vector<int64_t> range_bounds_;
   std::vector<TablePartition> partitions_;
   std::unordered_map<uint16_t, size_t> partition_by_file_;

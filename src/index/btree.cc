@@ -675,8 +675,7 @@ Status BTree::DeletePessimistic(Slice key) {
   }
 }
 
-Status BTree::Scan(Slice lower, Slice upper,
-                   const ScanVisitor& visitor) const {
+Status BTree::Scan(Slice lower, Slice upper, ScanVisitor visitor) const {
   scans_.Inc();
   // Pinned while pages are fixed and copied, not while the visitor runs: a
   // sibling hop revalidates the captured page number by its version, which

@@ -3,13 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/counters.h"
 #include "common/dense_directory.h"
+#include "common/function_ref.h"
 #include "common/slice.h"
 #include "common/spinlock.h"
 #include "common/status.h"
@@ -91,14 +91,14 @@ class BTree {
   Status UpdateValue(Slice key, uint64_t value);
 
   /// Visitor of one index entry; returns false to stop the scan.
-  using ScanVisitor = std::function<bool(Slice key, uint64_t value)>;
+  using ScanVisitor = FunctionRef<bool(Slice key, uint64_t value)>;
 
   /// Hands every entry with lower <= key < upper (empty upper: to the end)
   /// to `visitor` in key order, `key` valid only during the call. Each
   /// leaf's entries are copied out and its latch and read epoch released
   /// before the visitor runs, so the visitor may block or call back into
   /// the tree without holding back the reclamation of retired pages.
-  Status Scan(Slice lower, Slice upper, const ScanVisitor& visitor) const;
+  Status Scan(Slice lower, Slice upper, ScanVisitor visitor) const;
 
   /// Key for a non-unique index entry: user key + big-endian encoded RID.
   static std::string MakeNonUniqueKey(Slice user_key, Rid rid);

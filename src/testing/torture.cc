@@ -162,11 +162,7 @@ void RunWorkload(const TortureConfig& config, Database* db, Table* table,
       } else if (rng.PercentChance(70)) {
         s = db->Update(txn.get(), table,
                        Slice(table->pk_encoder().KeyForInts({key})),
-                       [&](std::string* payload) {
-                         RecordEditor e(&table->schema(), Slice(*payload));
-                         e.SetString(2, value);
-                         *payload = e.Encode();
-                       });
+                       [&](RowEditor& e) { e.SetString(2, value); });
         effect.new_value = value;
       } else {
         s = db->Delete(txn.get(), table,

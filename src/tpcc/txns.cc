@@ -101,11 +101,9 @@ TxnResult RunNewOrder(TpccContext* ctx, TpccRandom* rnd, int w_id) {
     BTRIM_RETURN_IF_ERROR(db->Update(
         txn.get(), t.district,
         t.district->pk_encoder().KeyForInts({w_id, d_id}),
-        [&](std::string* payload) {
-          RecordEditor e(&t.district->schema(), Slice(*payload));
+        [&](RowEditor& e) {
           o_id = static_cast<int32_t>(e.GetInt(dist::kNextOId));
           e.SetInt32(dist::kNextOId, o_id + 1);
-          *payload = e.Encode();
         }));
 
     // Customer discount/credit (read).
@@ -196,8 +194,7 @@ TxnResult RunNewOrder(TpccContext* ctx, TpccRandom* rnd, int w_id) {
       BTRIM_RETURN_IF_ERROR(db->Update(
           txn.get(), t.stock,
           t.stock->pk_encoder().KeyForInts({l->supply_w, l->i_id}),
-          [&](std::string* payload) {
-            RecordEditor e(&t.stock->schema(), Slice(*payload));
+          [&](RowEditor& e) {
             int64_t q = e.GetInt(stk::kQuantity);
             q = q >= l->qty + 10 ? q - l->qty : q - l->qty + 91;
             e.SetInt32(stk::kQuantity, static_cast<int32_t>(q));
@@ -209,8 +206,7 @@ TxnResult RunNewOrder(TpccContext* ctx, TpccRandom* rnd, int w_id) {
               e.SetInt32(stk::kRemoteCnt, static_cast<int32_t>(
                                               e.GetInt(stk::kRemoteCnt) + 1));
             }
-            l->dist_info = e.GetString(stk::kDist);
-            *payload = e.Encode();
+            l->dist_info = e.GetString(stk::kDist).ToString();
           }));
     }
 
@@ -260,30 +256,23 @@ TxnResult RunPayment(TpccContext* ctx, TpccRandom* rnd, int w_id) {
   }
 
   auto body = [&]() -> Status {
-    BTRIM_RETURN_IF_ERROR(
-        db->Update(txn.get(), t.warehouse,
-                   t.warehouse->pk_encoder().KeyForInts({w_id}),
-                   [&](std::string* payload) {
-                     RecordEditor e(&t.warehouse->schema(), Slice(*payload));
-                     e.SetDouble(wh::kYtd, e.GetDouble(wh::kYtd) + amount);
-                     *payload = e.Encode();
-                   }));
-    BTRIM_RETURN_IF_ERROR(
-        db->Update(txn.get(), t.district,
-                   t.district->pk_encoder().KeyForInts({w_id, d_id}),
-                   [&](std::string* payload) {
-                     RecordEditor e(&t.district->schema(), Slice(*payload));
-                     e.SetDouble(dist::kYtd, e.GetDouble(dist::kYtd) + amount);
-                     *payload = e.Encode();
-                   }));
+    BTRIM_RETURN_IF_ERROR(db->Update(
+        txn.get(), t.warehouse, t.warehouse->pk_encoder().KeyForInts({w_id}),
+        [&](RowEditor& e) {
+          e.SetDouble(wh::kYtd, e.GetDouble(wh::kYtd) + amount);
+        }));
+    BTRIM_RETURN_IF_ERROR(db->Update(
+        txn.get(), t.district,
+        t.district->pk_encoder().KeyForInts({w_id, d_id}), [&](RowEditor& e) {
+          e.SetDouble(dist::kYtd, e.GetDouble(dist::kYtd) + amount);
+        }));
 
     std::string ckey;
     int c_id = 0;
     BTRIM_RETURN_IF_ERROR(
         PickCustomerKey(ctx, rnd, txn.get(), c_w_id, c_d_id, &ckey, &c_id));
     BTRIM_RETURN_IF_ERROR(db->Update(
-        txn.get(), t.customer, Slice(ckey), [&](std::string* payload) {
-          RecordEditor e(&t.customer->schema(), Slice(*payload));
+        txn.get(), t.customer, Slice(ckey), [&](RowEditor& e) {
           e.SetDouble(cust::kBalance, e.GetDouble(cust::kBalance) - amount);
           e.SetDouble(cust::kYtdPayment,
                       e.GetDouble(cust::kYtdPayment) + amount);
@@ -293,12 +282,12 @@ TxnResult RunPayment(TpccContext* ctx, TpccRandom* rnd, int w_id) {
             std::string data = std::to_string(c_id) + "," +
                                std::to_string(c_d_id) + "," +
                                std::to_string(c_w_id) + "," +
-                               std::to_string(amount) + ";" +
-                               e.GetString(cust::kData);
+                               std::to_string(amount) + ";";
+            const Slice old = e.GetString(cust::kData);
+            data.append(old.data(), old.size());
             if (data.size() > 100) data.resize(100);
             e.SetString(cust::kData, Slice(data));
           }
-          *payload = e.Encode();
         }));
 
     RecordBuilder hb(&t.history->schema());
@@ -336,12 +325,11 @@ TxnResult RunOrderStatus(TpccContext* ctx, TpccRandom* rnd, int w_id) {
         db->SelectByKey(txn.get(), t.customer, Slice(ckey), &crow));
 
     // Most recent order of the customer via the (w, d, c, o) index.
-    std::string prefix;
-    KeyEncoder::AppendInt(&prefix, w_id);
-    KeyEncoder::AppendInt(&prefix, d_id);
-    KeyEncoder::AppendInt(&prefix, c_id);
-    std::string upper = prefix;
-    KeyEncoder::AppendInt(&upper, int64_t{1} << 40);  // past any o_id
+    const KeyEncoder& by_customer =
+        *t.orders->secondaries()[kOrdersByCustomer].encoder;
+    const std::string prefix = by_customer.PrefixForInts({w_id, d_id, c_id});
+    const std::string upper = by_customer.PrefixForInts(
+        {w_id, d_id, c_id, int64_t{1} << 40});  // past any o_id
 
     int o_id = -1;
     BTRIM_RETURN_IF_ERROR(db->ScanIndex(
@@ -354,16 +342,10 @@ TxnResult RunOrderStatus(TpccContext* ctx, TpccRandom* rnd, int w_id) {
     if (o_id < 0) return Status::OK();  // customer with no orders
 
     // Its order lines.
-    std::string ol_lower;
-    KeyEncoder::AppendInt(&ol_lower, w_id);
-    KeyEncoder::AppendInt(&ol_lower, d_id);
-    KeyEncoder::AppendInt(&ol_lower, o_id);
-    std::string ol_upper;
-    KeyEncoder::AppendInt(&ol_upper, w_id);
-    KeyEncoder::AppendInt(&ol_upper, d_id);
-    KeyEncoder::AppendInt(&ol_upper, o_id + 1);
-    return db->ScanIndex(txn.get(), t.order_line, -1, Slice(ol_lower),
-                         Slice(ol_upper), 0,
+    const KeyEncoder& ol_key = t.order_line->pk_encoder();
+    return db->ScanIndex(txn.get(), t.order_line, -1,
+                         ol_key.PrefixForInts({w_id, d_id, o_id}),
+                         ol_key.PrefixForInts({w_id, d_id, o_id + 1}), 0,
                          [](const ScanRow&) { return true; });
   };
 
@@ -380,15 +362,11 @@ TxnResult RunDelivery(TpccContext* ctx, TpccRandom* rnd, int w_id) {
   auto body = [&]() -> Status {
     for (int d_id = 1; d_id <= ctx->scale.districts_per_warehouse; ++d_id) {
       // Oldest undelivered order = smallest new_orders key in (w, d).
-      std::string lower;
-      KeyEncoder::AppendInt(&lower, w_id);
-      KeyEncoder::AppendInt(&lower, d_id);
-      std::string upper;
-      KeyEncoder::AppendInt(&upper, w_id);
-      KeyEncoder::AppendInt(&upper, d_id + 1);
       int o_id = -1;
       BTRIM_RETURN_IF_ERROR(db->ScanIndex(
-          txn.get(), t.new_orders, -1, Slice(lower), Slice(upper), 1,
+          txn.get(), t.new_orders, -1,
+          t.new_orders->pk_encoder().PrefixForInts({w_id, d_id}),
+          t.new_orders->pk_encoder().PrefixForInts({w_id, d_id + 1}), 1,
           [&](const ScanRow& r) {
             RecordView nv(&t.new_orders->schema(), Slice(r.payload));
             o_id = static_cast<int>(nv.GetInt(no::kOId));
@@ -406,26 +384,18 @@ TxnResult RunDelivery(TpccContext* ctx, TpccRandom* rnd, int w_id) {
       BTRIM_RETURN_IF_ERROR(db->Update(
           txn.get(), t.orders,
           t.orders->pk_encoder().KeyForInts({w_id, d_id, o_id}),
-          [&](std::string* payload) {
-            RecordEditor e(&t.orders->schema(), Slice(*payload));
+          [&](RowEditor& e) {
             c_id = static_cast<int>(e.GetInt(ord::kCId));
             e.SetInt32(ord::kCarrierId, carrier);
-            *payload = e.Encode();
           }));
 
       // Stamp delivery date on each line and total their amounts.
-      std::string ol_lower;
-      KeyEncoder::AppendInt(&ol_lower, w_id);
-      KeyEncoder::AppendInt(&ol_lower, d_id);
-      KeyEncoder::AppendInt(&ol_lower, o_id);
-      std::string ol_upper;
-      KeyEncoder::AppendInt(&ol_upper, w_id);
-      KeyEncoder::AppendInt(&ol_upper, d_id);
-      KeyEncoder::AppendInt(&ol_upper, o_id + 1);
       double total = 0.0;
       Status update;
       BTRIM_RETURN_IF_ERROR(db->ScanIndex(
-          txn.get(), t.order_line, -1, Slice(ol_lower), Slice(ol_upper), 0,
+          txn.get(), t.order_line, -1,
+          t.order_line->pk_encoder().PrefixForInts({w_id, d_id, o_id}),
+          t.order_line->pk_encoder().PrefixForInts({w_id, d_id, o_id + 1}), 0,
           [&](const ScanRow& line) {
             RecordView lv(&t.order_line->schema(), Slice(line.payload));
             total += lv.GetDouble(ol::kAmount);
@@ -434,11 +404,7 @@ TxnResult RunDelivery(TpccContext* ctx, TpccRandom* rnd, int w_id) {
                 txn.get(), t.order_line,
                 t.order_line->pk_encoder().KeyForInts(
                     {w_id, d_id, o_id, number}),
-                [&](std::string* payload) {
-                  RecordEditor e(&t.order_line->schema(), Slice(*payload));
-                  e.SetInt64(ol::kDeliveryD, kTxnDate);
-                  *payload = e.Encode();
-                });
+                [](RowEditor& e) { e.SetInt64(ol::kDeliveryD, kTxnDate); });
             return update.ok();
           }));
       BTRIM_RETURN_IF_ERROR(update);
@@ -446,13 +412,10 @@ TxnResult RunDelivery(TpccContext* ctx, TpccRandom* rnd, int w_id) {
       BTRIM_RETURN_IF_ERROR(db->Update(
           txn.get(), t.customer,
           t.customer->pk_encoder().KeyForInts({w_id, d_id, c_id}),
-          [&](std::string* payload) {
-            RecordEditor e(&t.customer->schema(), Slice(*payload));
+          [&](RowEditor& e) {
             e.SetDouble(cust::kBalance, e.GetDouble(cust::kBalance) + total);
-            e.SetInt32(cust::kDeliveryCnt, static_cast<int32_t>(
-                                               e.GetInt(cust::kDeliveryCnt) +
-                                               1));
-            *payload = e.Encode();
+            e.SetInt32(cust::kDeliveryCnt,
+                       static_cast<int32_t>(e.GetInt(cust::kDeliveryCnt) + 1));
           }));
     }
     return Status::OK();
@@ -479,17 +442,12 @@ TxnResult RunStockLevel(TpccContext* ctx, TpccRandom* rnd, int w_id) {
     const int next_o_id = static_cast<int>(dv.GetInt(dist::kNextOId));
 
     // Lines of the last 20 orders.
-    std::string lower;
-    KeyEncoder::AppendInt(&lower, w_id);
-    KeyEncoder::AppendInt(&lower, d_id);
-    KeyEncoder::AppendInt(&lower, std::max(1, next_o_id - 20));
-    std::string upper;
-    KeyEncoder::AppendInt(&upper, w_id);
-    KeyEncoder::AppendInt(&upper, d_id);
-    KeyEncoder::AppendInt(&upper, next_o_id);
     std::vector<int> item_ids;
     BTRIM_RETURN_IF_ERROR(db->ScanIndex(
-        txn.get(), t.order_line, -1, Slice(lower), Slice(upper), 0,
+        txn.get(), t.order_line, -1,
+        t.order_line->pk_encoder().PrefixForInts(
+            {w_id, d_id, std::max(1, next_o_id - 20)}),
+        t.order_line->pk_encoder().PrefixForInts({w_id, d_id, next_o_id}), 0,
         [&](const ScanRow& line) {
           RecordView lv(&t.order_line->schema(), Slice(line.payload));
           item_ids.push_back(static_cast<int>(lv.GetInt(ol::kIId)));

@@ -110,6 +110,9 @@ class Transaction {
   bool has_pagestore_changes() const { return ps_changes_; }
   void MarkPageStoreChange() { ps_changes_ = true; }
 
+  /// The row image an update edits, reused by the transaction's updates.
+  std::string* edit_buffer() { return &edit_buffer_; }
+
  private:
   friend class TransactionManager;
 
@@ -125,6 +128,7 @@ class Transaction {
   std::vector<uint64_t> held_locks_;
   std::vector<WriteIntent> write_set_;
   std::string intent_bytes_;
+  std::string edit_buffer_;
   bool ps_changes_ = false;
 };
 

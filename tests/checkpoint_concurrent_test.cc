@@ -110,11 +110,8 @@ class CheckpointConcurrentTest : public ::testing::Test {
       b.AddInt64(id).AddInt64(id % 5).AddString(value);
       s = db_->Insert(txn.get(), table_, b.Finish());
     } else if (probe.ok()) {
-      s = db_->Update(txn.get(), table_, Key(id), [&](std::string* payload) {
-        RecordEditor e(&table_->schema(), Slice(*payload));
-        e.SetString(2, value);
-        *payload = e.Encode();
-      });
+      s = db_->Update(txn.get(), table_, Key(id),
+                      [&](RowEditor& e) { e.SetString(2, value); });
     } else {
       s = probe;
     }

@@ -448,11 +448,7 @@ TEST(ColdEngineTest, PackedRowsLandColdAndStayReadable) {
     auto txn = db->Begin();
     ASSERT_TRUE(db->Update(txn.get(), table,
                            table->pk_encoder().KeyForInts({int64_t{4}}),
-                           [&](std::string* payload) {
-                             RecordEditor e(&table->schema(), Slice(*payload));
-                             e.SetString(3, "updated");
-                             *payload = e.Encode();
-                           })
+                           [&](RowEditor& e) { e.SetString(3, "updated"); })
                     .ok());
     ASSERT_TRUE(db->Delete(txn.get(), table,
                            table->pk_encoder().KeyForInts({int64_t{8}}))
@@ -506,10 +502,8 @@ TEST(ColdEngineTest, AbortedWritesRestoreColdHomes) {
   {
     auto txn = db->Begin();
     ASSERT_TRUE(db->Update(txn.get(), table, key(updated),
-                           [&](std::string* payload) {
-                             RecordEditor e(&table->schema(), Slice(*payload));
+                           [&](RowEditor& e) {
                              e.SetString(3, "never-committed");
-                             *payload = e.Encode();
                            })
                     .ok());
     EXPECT_FALSE(db->cold()->Exists(rid_of(updated)));
@@ -593,37 +587,85 @@ TEST(ColdEngineTest, ScanTableMergesHotAndColdUnderProjection) {
   EXPECT_LT(stats.bytes_scanned_cold, full_stats.bytes_scanned_cold);
 }
 
+// Cold rows survive a crash, and so do updates that change the length of a
+// string column on an IMRS row, a heap row and a cold-columnar row.
 TEST(ColdEngineTest, ColdRowsSurviveCrashRecovery) {
   const std::string dir = testing::ScratchPath("btrim_cold_recovery");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  auto key = [](Table* table, int64_t id) {
+    return table->pk_encoder().KeyForInts({id});
+  };
+  auto row_image = [](Table* table, int64_t id, const std::string& value) {
+    RecordBuilder b(&table->schema());
+    b.AddInt64(id).AddInt64(id % kPartitions).AddInt64(id * 3)
+        .AddString(value);
+    return b.Finish().ToString();
+  };
+  const int64_t imrs_id = kRows, heap_id = kRows + 1;
+  std::map<int64_t, std::string> updated;  // id -> new value
   {
     auto db = std::move(*Database::Open(ColdOptions(dir, 1)));
     Table* table = *db->CreateTable(ColdTableOptions());
     InsertRows(db.get(), table);
     DrainPack(db.get());
     ASSERT_GT(db->cold()->rows(), 0);
+    for (const int64_t id : {imrs_id, heap_id}) {
+      db->ilm()->SetForcePageStore(id == heap_id);  // kept in the heap
+      auto txn = db->Begin();
+      ASSERT_TRUE(
+          db->Insert(txn.get(), table, row_image(table, id, ColdValue(id)))
+              .ok());
+      ASSERT_TRUE(db->Commit(txn.get()).ok());
+    }
+    auto rid_of = [&](int64_t id) {
+      return Rid::Decode(*table->primary_index()->Search(key(table, id)));
+    };
+    int64_t cold_id = 1;  // not one of the ids read back below
+    while (cold_id < kRows && (cold_id % 59 == 0 ||
+                               !db->cold()->Exists(rid_of(cold_id)) ||
+                               db->rid_map()->Lookup(rid_of(cold_id)))) {
+      ++cold_id;
+    }
+    ASSERT_LT(cold_id, kRows);
+    ASSERT_NE(db->rid_map()->Lookup(rid_of(imrs_id)), nullptr);
+    ASSERT_TRUE(table->PartitionForRid(rid_of(heap_id))
+                    ->heap->Exists(rid_of(heap_id)));
+    updated = {{imrs_id, std::string(120, 'i')},
+               {heap_id, "h"},
+               {cold_id, ColdValue(cold_id) + "-grown-by-an-update"}};
+    auto txn = db->Begin();
+    for (const auto& [id, value] : updated) {
+      ASSERT_TRUE(db->Update(txn.get(), table, key(table, id),
+                             [&](RowEditor& e) { e.SetString(3, value); })
+                      .ok());
+    }
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
     // Crash: drop the Database without checkpoint or clean shutdown.
   }
   auto db = std::move(*Database::Open(ColdOptions(dir, 1)));
   Table* table = *db->CreateTable(ColdTableOptions());
   ASSERT_TRUE(db->Recover().ok());
   EXPECT_TRUE(db->ValidateInvariants().ok());
-  for (int64_t id = 0; id < kRows; id += 59) {
+  auto read = [&](int64_t id) {
     auto txn = db->Begin();
     std::string row;
-    Status s = db->SelectByKey(txn.get(), table,
-                               table->pk_encoder().KeyForInts({id}), &row);
-    ASSERT_TRUE(s.ok()) << "row " << id << ": " << s.ToString();
-    RecordView v(&table->schema(), Slice(row));
-    EXPECT_EQ(v.GetString(3).ToString(), ColdValue(id)) << id;
-    ASSERT_TRUE(db->Commit(txn.get()).ok());
+    Status s = db->SelectByKey(txn.get(), table, key(table, id), &row);
+    EXPECT_TRUE(s.ok()) << "row " << id << ": " << s.ToString();
+    EXPECT_TRUE(db->Commit(txn.get()).ok());
+    return row;
+  };
+  for (int64_t id = 0; id < kRows; id += 59) {
+    EXPECT_EQ(read(id), row_image(table, id, ColdValue(id))) << id;
+  }
+  for (const auto& [id, value] : updated) {
+    EXPECT_EQ(read(id), row_image(table, id, value)) << id;
   }
   // New inserts must not collide with recovered cold rids.
   {
     auto txn = db->Begin();
     RecordBuilder b(&table->schema());
-    b.AddInt64(kRows + 1).AddInt64(0).AddInt64(0).AddString("fresh");
+    b.AddInt64(kRows + 2).AddInt64(0).AddInt64(0).AddString("fresh");
     ASSERT_TRUE(db->Insert(txn.get(), table, b.Finish()).ok());
     ASSERT_TRUE(db->Commit(txn.get()).ok());
   }

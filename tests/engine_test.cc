@@ -10,6 +10,7 @@
 
 #include "engine/database.h"
 #include "engine/stats_printer.h"
+#include "tpcc/schema.h"
 #include "wal/log_record.h"
 
 namespace btrim {
@@ -60,24 +61,54 @@ TEST(RecordCodecTest, TruncatedRecordIsInvalid) {
   EXPECT_FALSE(v.valid());
 }
 
+// Customer is the widest TPC-C row (21 columns). Splicing a shorter or longer
+// string into its first, a middle or its last string column, then setting
+// fixed-width columns behind the splice, must give exactly the record built
+// with those values, so every other column reads back unchanged.
 TEST(RecordCodecTest, EditorModifiesSelectedColumns) {
-  Schema schema = TestSchema();
-  RecordBuilder b(&schema);
-  b.AddInt64(1).AddInt32(2).AddDouble(3.5).AddString("before");
-  RecordEditor e(&schema, b.Finish());
-  ASSERT_TRUE(e.valid());
-  e.SetInt32(1, 99);
-  e.SetString(3, "after");
-  RecordView v(&schema, Slice(e.Encode()));
-  // In std::string form since Encode returns a temporary otherwise.
-  std::string encoded = e.Encode();
-  RecordView v2(&schema, Slice(encoded));
-  ASSERT_TRUE(v2.valid());
-  EXPECT_EQ(v2.GetInt64(0), 1);       // untouched
-  EXPECT_EQ(v2.GetInt32(1), 99);      // modified
-  EXPECT_DOUBLE_EQ(v2.GetDouble(2), 3.5);
-  EXPECT_EQ(v2.GetString(3).ToString(), "after");
-  (void)v;
+  namespace cust = tpcc::cust;
+  auto db = std::move(*Database::Open(DatabaseOptions()));
+  const Schema& schema =
+      (*tpcc::CreateTables(db.get(), tpcc::Scale())).customer->schema();
+  auto customer = [&](const std::string& first, const std::string& city,
+                      const std::string& data, int64_t since, double balance,
+                      int32_t payments) {
+    RecordBuilder b(&schema);
+    b.AddInt32(1).AddInt32(2).AddInt32(3).AddString(first).AddString("OE")
+        .AddString("BARBARBAR").AddString("street one").AddString("street 2")
+        .AddString(city).AddString("ST").AddString("123456789")
+        .AddString("555-0100").AddInt64(since).AddString("GC")
+        .AddDouble(5e4).AddDouble(0.25).AddDouble(balance).AddDouble(10.0)
+        .AddInt32(payments).AddInt32(0).AddString(data);
+    return b.Finish().ToString();
+  };
+  const std::string original = customer("first", "city", "data", 7, -1.5, 1);
+  const std::string values[] = {"", "x", std::string(16, 'L')};
+  for (const std::string& value : values) {
+    for (const int col : {cust::kFirst, cust::kCity, cust::kData}) {
+      std::string image = original;
+      RowEditor e(&schema, &image);
+      e.SetString(col, value);
+      e.SetInt64(cust::kSince, -77);
+      e.SetDouble(cust::kBalance, 99.5);
+      e.SetInt32(cust::kPaymentCnt, 41);
+      EXPECT_EQ(e.GetString(col).ToString(), value);
+      EXPECT_EQ(e.set_columns(),
+                (1u << col) | (1u << cust::kSince) | (1u << cust::kBalance) |
+                    (1u << cust::kPaymentCnt));
+      EXPECT_EQ(image, customer(col == cust::kFirst ? value : "first",
+                                col == cust::kCity ? value : "city",
+                                col == cust::kData ? value : "data", -77,
+                                99.5, 41))
+          << schema.column(col).name << " <- '" << value << "'";
+    }
+  }
+  // A string over max_len is recorded, not stored.
+  std::string image = original;
+  RowEditor e(&schema, &image);
+  e.SetString(cust::kCredit, "BAD");
+  EXPECT_TRUE(e.too_long());
+  EXPECT_EQ(image, original);
 }
 
 TEST(KeyEncoderTest, IntKeysSortNumerically) {
@@ -187,11 +218,7 @@ class EngineTest : public ::testing::Test {
 
   Status UpdateValue(int64_t id, const std::string& value,
                      Transaction* txn = nullptr) {
-    auto mutate = [&](std::string* payload) {
-      RecordEditor e(&table_->schema(), Slice(*payload));
-      e.SetString(2, value);
-      *payload = e.Encode();
-    };
+    auto mutate = [&](RowEditor& e) { e.SetString(2, value); };
     if (txn != nullptr) return db_->Update(txn, table_, Key(id), mutate);
     auto t = db_->Begin();
     Status s = db_->Update(t.get(), table_, Key(id), mutate);
@@ -242,6 +269,89 @@ TEST_F(EngineTest, UpdateRewritesRow) {
 TEST_F(EngineTest, UpdateMissingIsNotFound) {
   Open();
   EXPECT_TRUE(UpdateValue(404, "x").IsNotFound());
+}
+
+// An edit may not move its row: setting a primary-key, secondary-index or
+// partition column, or a string past its max_len, is refused with nothing
+// written, whether the row lives in the IMRS or on the page store.
+TEST_F(EngineTest, UpdateRefusesEditsThatMoveTheRow) {
+  Open();
+  TableOptions topt;
+  topt.name = "placed";
+  topt.schema = Schema({Column::Int64("id"), Column::Int64("group_id"),
+                        Column::Int64("region"), Column::String("value", 8)});
+  topt.primary_key = {0};
+  topt.secondary_indexes.push_back(IndexDef{"by_group", {1, 0}, false});
+  topt.num_partitions = 2;
+  topt.partition_column = 2;
+  Table* placed = *db_->CreateTable(topt);
+  auto key = [&](int64_t id) { return placed->pk_encoder().KeyForInts({id}); };
+  auto record = [&](int64_t id) {
+    RecordBuilder b(&placed->schema());
+    return b.AddInt64(id).AddInt64(10).AddInt64(1).AddString("v").Finish()
+        .ToString();
+  };
+  void (*const moves[])(RowEditor&) = {
+      [](RowEditor& e) { e.SetInt64(0, 99); },
+      [](RowEditor& e) { e.SetInt64(1, 11); },
+      [](RowEditor& e) { e.SetInt64(2, 0); },
+      [](RowEditor& e) { e.SetString(3, "nine-long"); },
+  };
+  for (const int64_t id : {1, 2}) {  // 1 lives in the IMRS, 2 in the heap
+    db_->ilm()->SetForcePageStore(id == 2);
+    auto txn = db_->Begin();
+    ASSERT_TRUE(db_->Insert(txn.get(), placed, record(id)).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+    db_->ilm()->SetForcePageStore(false);  // a written heap row would migrate
+    const Rid rid = Rid::Decode(*placed->primary_index()->Search(key(id)));
+    ASSERT_EQ(db_->rid_map()->Lookup(rid) == nullptr, id == 2);
+
+    txn = db_->Begin();
+    ASSERT_TRUE(db_->Insert(txn.get(), placed, record(id + 10)).ok());
+    const size_t writes = txn->write_set().size();
+    for (auto* move : moves) {
+      Status s = db_->Update(txn.get(), placed, key(id), move);
+      EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+      EXPECT_EQ(txn->write_set().size(), writes);
+    }
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+    EXPECT_EQ(db_->rid_map()->Lookup(rid) == nullptr, id == 2);
+  }
+  // Rows and index entries are as inserted: groups 10 and 11 hold exactly
+  // the four rows of group 10, all in partition 1.
+  auto reader = db_->Begin();
+  std::string row;
+  for (const int64_t id : {1, 2}) {
+    ASSERT_TRUE(db_->SelectByKey(reader.get(), placed, key(id), &row).ok());
+    EXPECT_EQ(row, record(id));
+  }
+  EXPECT_TRUE(
+      db_->SelectByKey(reader.get(), placed, key(99), &row).IsNotFound());
+  const KeyEncoder& by_group = *placed->secondaries()[0].encoder;
+  std::vector<ScanRow> rows;
+  ASSERT_TRUE(db_->ScanIndex(reader.get(), placed, 0,
+                             by_group.PrefixForInts({10}),
+                             by_group.PrefixForInts({12}), 0, &rows)
+                  .ok());
+  EXPECT_EQ(rows.size(), 4u);
+  for (const ScanRow& r : rows) {
+    EXPECT_EQ(RecordView(&placed->schema(), Slice(r.payload)).GetInt(1), 10);
+    EXPECT_EQ(placed->PartitionForRid(r.rid), &placed->partition(1));
+  }
+  ASSERT_TRUE(db_->Commit(reader.get()).ok());
+  EXPECT_TRUE(db_->ValidateInvariants().ok());
+}
+
+TEST_F(EngineTest, CreateTableRejectsSchemasWiderThanTheCodec) {
+  Open();
+  TableOptions topt;
+  topt.name = "wide";
+  topt.primary_key = {0};
+  const Column c = Column::Int32("c");
+  topt.schema = Schema(std::vector<Column>(kMaxColumns + 1, c));
+  EXPECT_TRUE(db_->CreateTable(topt).status().IsInvalidArgument());
+  topt.schema = Schema(std::vector<Column>(kMaxColumns, c));
+  EXPECT_TRUE(db_->CreateTable(topt).ok());
 }
 
 TEST_F(EngineTest, DeleteRemovesRow) {
@@ -812,12 +922,10 @@ TEST_F(EngineTest, ConcurrentCountersUnderContention) {
       for (int i = 0; i < kIncrements; ++i) {
         auto txn = db_->Begin();
         Status s = db_->Update(txn.get(), table_, Key(1),
-                               [&](std::string* payload) {
-                                 RecordEditor e(&table_->schema(),
-                                                Slice(*payload));
-                                 const int cur = std::stoi(e.GetString(2));
+                               [&](RowEditor& e) {
+                                 const int cur =
+                                     std::stoi(e.GetString(2).ToString());
                                  e.SetString(2, std::to_string(cur + 1));
-                                 *payload = e.Encode();
                                });
         if (s.ok()) s = db_->Commit(txn.get());
         else { Status a = db_->Abort(txn.get()); (void)a; }
@@ -1322,10 +1430,9 @@ TEST_F(EngineTest, ImrsRedoGroupsAreGolden) {
     EXPECT_TRUE(rid.ok()) << id;
     return rid.ok() ? *rid : 0;
   };
-  auto edited = [&](const std::string& image, const std::string& value) {
-    RecordEditor e(&table_->schema(), Slice(image));
-    e.SetString(2, value);
-    return e.Encode();
+  auto edited = [&](std::string image, const std::string& value) {
+    RowEditor(&table_->schema(), &image).SetString(2, value);
+    return image;
   };
   const auto kInserted = static_cast<uint8_t>(RowSource::kInserted);
   std::vector<RedoGroup> want;

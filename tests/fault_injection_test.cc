@@ -492,8 +492,8 @@ TEST(CommitFaultTest, FailedGroupAppendRollsBackBeforeLocksGo) {
 
   auto txn = db->Begin();
   ASSERT_TRUE(db->Insert(txn.get(), table, record(2, "never")).ok());
-  ASSERT_TRUE(db->Update(txn.get(), table, key(1), [&](std::string* payload) {
-                  *payload = record(1, "changed");
+  ASSERT_TRUE(db->Update(txn.get(), table, key(1), [&](RowEditor& e) {
+                  e.SetString(1, "changed");
                 }).ok());
   plan->FailNth(FaultOp::kAppend, "sysimrslogs", 1);
   Status s = db->Commit(txn.get());

@@ -111,11 +111,8 @@ TEST_F(IntegrationTest, UpdatesDuringPackingNeverLoseData) {
     for (int64_t i = 0; i < kRows; ++i) {
       auto txn = db_->Begin();
       Status s = db_->Update(txn.get(), table_, Key(i),
-                             [&](std::string* payload) {
-                               RecordEditor e(&table_->schema(),
-                                              Slice(*payload));
+                             [&](RowEditor& e) {
                                e.SetInt64(1, e.GetInt(1) + 1);
-                               *payload = e.Encode();
                              });
       if (s.ok()) s = db_->Commit(txn.get());
       else { Status a = db_->Abort(txn.get()); (void)a; }
@@ -157,11 +154,7 @@ TEST_F(IntegrationTest, RandomizedOpsMatchReferenceModel) {
       std::advance(it, rng.Uniform(reference.size()));
       const std::string data = "u" + std::to_string(rng.Next() % 100000);
       s = db_->Update(txn.get(), table_, Key(it->first),
-                      [&](std::string* payload) {
-                        RecordEditor e(&table_->schema(), Slice(*payload));
-                        e.SetString(2, data);
-                        *payload = e.Encode();
-                      });
+                      [&](RowEditor& e) { e.SetString(2, data); });
       if (s.ok()) s = db_->Commit(txn.get());
       if (s.ok()) it->second = data;
     } else if (dice < 85) {
@@ -240,12 +233,7 @@ TEST_F(IntegrationTest, MultiThreadedDisjointKeyspaceWithBackground) {
           std::advance(it, rng.Uniform(model.size()));
           const std::string data = std::to_string(rng.Next());
           s = db_->Update(txn.get(), table_, Key(it->first),
-                          [&](std::string* payload) {
-                            RecordEditor e(&table_->schema(),
-                                           Slice(*payload));
-                            e.SetString(2, data);
-                            *payload = e.Encode();
-                          });
+                          [&](RowEditor& e) { e.SetString(2, data); });
           if (s.ok()) s = db_->Commit(txn.get());
           if (s.ok()) it->second = data;
         } else {
@@ -362,12 +350,10 @@ TEST_F(IntegrationTest, MoneyConservationUnderPackChurn) {
         auto txn = db_->Begin();
         auto apply = [&](int64_t id, double delta) {
           return db_->Update(txn.get(), table_, Key(id),
-                             [&](std::string* payload) {
-                               RecordEditor e(&table_->schema(),
-                                              Slice(*payload));
-                               const double bal = std::stod(e.GetString(2));
+                             [&](RowEditor& e) {
+                               const double bal =
+                                   std::stod(e.GetString(2).ToString());
                                e.SetString(2, std::to_string(bal + delta));
-                               *payload = e.Encode();
                              });
         };
         Status s = apply(first, delta_first);

@@ -103,12 +103,7 @@ class RecoveryTest : public ::testing::Test {
   Status UpdateValue(int64_t id, const std::string& value) {
     auto txn = db_->Begin();
     Status s = db_->Update(txn.get(), table_, Key(id),
-                           [&](std::string* payload) {
-                             RecordEditor e(&table_->schema(),
-                                            Slice(*payload));
-                             e.SetString(2, value);
-                             *payload = e.Encode();
-                           });
+                           [&](RowEditor& e) { e.SetString(2, value); });
     if (!s.ok()) {
       Status a = db_->Abort(txn.get());
       (void)a;
@@ -201,10 +196,8 @@ TEST_F(RecoveryTest, LoserPageStoreChangesAreUndone) {
   // mid-transaction — the "steal" case recovery must undo).
   auto loser = db_->Begin();  // in flight at "crash"; never finished
   ASSERT_TRUE(db_->Update(loser.get(), table_, Key(1),
-                          [&](std::string* payload) {
-                            RecordEditor e(&table_->schema(), Slice(*payload));
+                          [&](RowEditor& e) {
                             e.SetString(2, "dirty-uncommitted");
-                            *payload = e.Encode();
                           })
                   .ok());
   ASSERT_TRUE(db_->buffer_cache()->FlushAll().ok());
@@ -589,11 +582,8 @@ TEST_F(RecoveryTest, LoserStraddlingTheRollOverStaysRolledBack) {
   ASSERT_TRUE(InsertRow(1, "base").ok());
 
   auto set_value = [&](Transaction* txn, const std::string& value) {
-    return db_->Update(txn, table_, Key(1), [&](std::string* payload) {
-      RecordEditor e(&table_->schema(), Slice(*payload));
-      e.SetString(2, value);
-      *payload = e.Encode();
-    });
+    return db_->Update(txn, table_, Key(1),
+                       [&](RowEditor& e) { e.SetString(2, value); });
   };
   auto loser = db_->Begin();
   ASSERT_TRUE(set_value(loser.get(), "loser-1").ok());

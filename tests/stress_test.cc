@@ -305,11 +305,8 @@ TEST_F(EngineStressTest, ConcurrentCrudWithBackgroundThreads) {
           s = db_->Insert(txn.get(), table_, Record(id, id % 5, "ins"));
           break;
         case 1:
-          s = db_->Update(txn.get(), table_, pk, [&](std::string* payload) {
-            RecordEditor e(&table_->schema(), Slice(*payload));
-            e.SetString(2, "upd");
-            *payload = e.Encode();
-          });
+          s = db_->Update(txn.get(), table_, pk,
+                          [](RowEditor& e) { e.SetString(2, "upd"); });
           break;
         case 2: {
           std::string out;
@@ -395,10 +392,8 @@ TEST(GroupCommitStressTest, EightWorkerCommitAbortHammer) {
           b.AddInt64(id).AddInt64(t).AddString("w" + std::to_string(t));
           s = db->Insert(txn.get(), table, b.Finish());
         } else {
-          s = db->Update(txn.get(), table, pk, [&](std::string* payload) {
-            RecordEditor e(&table->schema(), Slice(*payload));
+          s = db->Update(txn.get(), table, pk, [&](RowEditor& e) {
             e.SetString(2, "u" + std::to_string(t));
-            *payload = e.Encode();
           });
         }
         // Deliberate abort mix: every 5th clean transaction rolls back, so

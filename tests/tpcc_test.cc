@@ -551,11 +551,11 @@ TEST_F(TpccTest, WarmTransactionsStayUnderAllocationCeilings) {
     double ceiling;  // <= 0: reported only
   };
   const TxnType types[] = {
-      {"NewOrder", RunNewOrder, 300},
-      {"Payment", RunPayment, 55},
-      {"OrderStatus", RunOrderStatus, 104},
-      {"Delivery", RunDelivery, 0},
-      {"StockLevel", RunStockLevel, 450},
+      {"NewOrder", RunNewOrder, 104},
+      {"Payment", RunPayment, 22.7},
+      {"OrderStatus", RunOrderStatus, 44},
+      {"Delivery", RunDelivery, 116},
+      {"StockLevel", RunStockLevel, 39},
   };
   constexpr int kWarmup = 300;
   constexpr int kMeasured = 2000;

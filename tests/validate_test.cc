@@ -56,11 +56,8 @@ class ValidateTest : public ::testing::Test {
   void UpdateValue(int64_t id, const std::string& value) {
     auto txn = db_->Begin();
     std::string pk = table_->pk_encoder().KeyForInts({id});
-    Status s = db_->Update(txn.get(), table_, pk, [&](std::string* payload) {
-      RecordEditor e(&table_->schema(), Slice(*payload));
-      e.SetString(2, value);
-      *payload = e.Encode();
-    });
+    Status s = db_->Update(txn.get(), table_, pk,
+                           [&](RowEditor& e) { e.SetString(2, value); });
     ASSERT_TRUE(s.ok()) << s.ToString();
     ASSERT_TRUE(db_->Commit(txn.get()).ok());
   }
